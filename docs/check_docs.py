@@ -26,6 +26,7 @@ REQUIRED_DOCS = ["docs/ARCHITECTURE.md", "docs/engines.md", "README.md"]
 # The public API surface whose doc comments are part of the contract
 # (ISSUE 4): the anytime optimizer API and the serving layer.
 DOCUMENTED_HEADERS = [
+    "src/cluster/include/quest/cluster/backend.hpp",
     "src/cluster/include/quest/cluster/health.hpp",
     "src/cluster/include/quest/cluster/registration_journal.hpp",
     "src/cluster/include/quest/cluster/replica_router.hpp",
@@ -38,7 +39,6 @@ DOCUMENTED_HEADERS = [
     "src/serve/include/quest/serve/protocol.hpp",
     "src/serve/include/quest/serve/server.hpp",
     "src/store/include/quest/store/jsonl.hpp",
-    "src/store/include/quest/store/router.hpp",
     "src/store/include/quest/store/shard_map.hpp",
     "src/store/include/quest/store/snapshot.hpp",
     "src/store/include/quest/store/snapshot_writer.hpp",

@@ -26,11 +26,16 @@ Two exclusive modes replace the throughput run when selected:
                  restores the instance and serves every repeated request
                  from the exact cache tier at the identical cost.
   --router K     sharded smoke: K quest_serve backends behind
-                 quest_router (--router-binary). Registers instances
-                 with distinct fingerprints through the router, checks
-                 merged stats report the fleet shape, kill -9s one
-                 backend, and asserts its shard sheds with typed
-                 `overloaded` errors while the survivors keep serving.
+                 quest_router (--router-binary) at --replicas 1.
+                 Registers instances with distinct fingerprints through
+                 the router, checks merged stats report the fleet shape
+                 and replicas 1, routes a cross-shard optimize_batch, an
+                 unknown-id cancel, an inline document, an unknown name
+                 (typed `unknown-instance`) and observe/refit, kill -9s
+                 one backend and asserts its shard sheds with typed
+                 `overloaded` errors while the survivors keep serving,
+                 then restarts it empty on its old port and polls until
+                 journal replay has every name answering again.
   --replicas R   (with --router K, R > 1) replication smoke: the router
                  runs with --replicas R and a registration journal.
                  kill -9 one backend under concurrent optimize load and
@@ -457,22 +462,107 @@ def persist_phase(args):
     }
 
 
+def spread_instance(i):
+    """Same shape, perturbed first-service cost: distinct fingerprints so
+    consistent hashing actually spreads the keys."""
+    instance = make_instance(6)
+    instance["services"][0]["cost"] += 0.001 * (i + 1)
+    return instance
+
+
+def check_batch(client, names):
+    """One optimize_batch over every name: exactly one batch-admitted,
+    ahead of one result per element, and no error."""
+    client.send(
+        {
+            "op": "optimize_batch",
+            "id": "batch",
+            "requests": [
+                {
+                    "instance": name,
+                    "optimizer": "bnb",
+                    "budget": {"deadline_ms": 30000},
+                    "cache": True,
+                }
+                for name in names
+            ],
+        }
+    )
+    expected = {f"batch/{i}" for i in range(len(names))}
+    admitted = 0
+    results = set()
+    while results != expected:
+        event = client.read_event()
+        kind = event.get("event")
+        if kind == "batch-admitted":
+            admitted += 1
+            if results or event.get("count") != len(names):
+                fail(f"batch-admitted out of place or miscounted: {event}")
+        elif kind == "result":
+            if event.get("id") not in expected - results:
+                fail(f"unexpected or duplicate batch result: {event}")
+            results.add(event["id"])
+        elif kind == "error":
+            fail(f"batch element failed through the router: {event}")
+    if admitted != 1:
+        fail(f"expected one batch-admitted, got {admitted}")
+
+
+def check_router_ops(client, names):
+    """Cancel, inline documents, unknown names and the adaptive ops,
+    each answered through the router as a single backend would."""
+    client.send({"op": "cancel", "id": "never-admitted"})
+    ack = client.wait_for(
+        lambda e: e.get("event") in ("cancel-requested", "error"), "cancel ack"
+    )
+    if ack.get("event") != "cancel-requested" or ack.get("found") is not False:
+        fail(f"cancel of an unknown id must answer found:false: {ack}")
+
+    event = optimize_outcome(client, "inline", spread_instance(len(names)))
+    if event["event"] != "result" or not event.get("complete"):
+        fail(f"inline document through the router: {event}")
+
+    event = optimize_outcome(client, "ghost", "never-registered")
+    if event["event"] != "error" or event.get("code") != "unknown-instance":
+        fail(f"unknown name must get code unknown-instance: {event}")
+
+    client.send(
+        {
+            "op": "observe",
+            "instance": names[0],
+            "plan": list(range(6)),
+            "tuples_in": [1000, 500, 250, 125, 62, 31],
+            "tuples_out": [500, 250, 125, 62, 31, 15],
+        }
+    )
+    observed = client.wait_for(
+        lambda e: e.get("event") in ("observed", "error"), "observe answer"
+    )
+    if observed.get("event") != "observed" or observed.get("runs") != 1:
+        fail(f"observe must reach the owning backend: {observed}")
+    client.send({"op": "refit", "instance": names[0], "min_samples": 1})
+    refit = client.wait_for(
+        lambda e: e.get("event") in ("refit", "error"), "refit answer"
+    )
+    if refit.get("event") != "refit":
+        fail(f"refit must reach the owning backend: {refit}")
+
+
 def router_phase(args):
-    """K backends behind quest_router: fan registrations across shards,
-    merge stats, then kill -9 one backend and assert typed shedding."""
+    """K backends behind quest_router at --replicas 1: fan registrations
+    across shards, route every op kind, merge stats, kill -9 one backend
+    and assert typed shedding, then restart it empty and assert the
+    journal replay heals it."""
     shards = args.router
     backends = [Server(args.binary) for _ in range(shards)]
+    ports = [b.port for b in backends]
     router = Server(
         args.router_binary,
-        ("--backends", ",".join(f"127.0.0.1:{b.port}" for b in backends)),
+        (
+            "--backends", ",".join(f"127.0.0.1:{p}" for p in ports),
+            "--probe-interval-ms", "50",
+        ),
     )
-
-    def spread_instance(i):
-        # Same shape, perturbed first-service cost: distinct fingerprints
-        # so consistent hashing actually spreads the keys.
-        instance = make_instance(6)
-        instance["services"][0]["cost"] += 0.001 * (i + 1)
-        return instance
 
     names = [f"spread{i}" for i in range(12)]
     with Client(router.port) as client:
@@ -484,53 +574,37 @@ def router_phase(args):
                 lambda e: e.get("event") == "registered", "registered"
             )
         for name in names:
-            request_id = f"route/{name}"
-            client.send(
-                {
-                    "op": "optimize",
-                    "id": request_id,
-                    "instance": name,
-                    "optimizer": "bnb",
-                    "budget": {"deadline_ms": 30000},
-                    "cache": True,
-                }
-            )
-            result = client.wait_result(request_id)
-            if not result.get("complete"):
-                fail(f"{request_id}: incomplete result through router: {result}")
+            event = optimize_outcome(client, f"route/{name}", name)
+            if event["event"] != "result" or not event.get("complete"):
+                fail(f"route/{name}: bad result through router: {event}")
         client.send({"op": "stats"})
         stats = client.wait_for(lambda e: e.get("event") == "stats", "stats")
         if stats.get("shards") != shards or stats.get("shards_live") != shards:
             fail(f"merged stats disagree with the fleet: {stats}")
         if stats.get("admitted", 0) < len(names):
             fail(f"merged admitted counter lost requests: {stats}")
+        if stats.get("replicas") != 1:
+            fail(f"merged stats must report replicas 1: {stats}")
 
-    backends[0].kill()  # kill -9 one shard
+        # Every backend holds some of the names, so the batch splits.
+        for index, port in enumerate(ports):
+            if fetch_stats(port).get("instances", 0) < 1:
+                fail(f"backend {index} owns none of the {len(names)} names")
+        check_batch(client, names)
+        check_router_ops(client, names)
+
+    victim = 0
+    backends[victim].kill()  # kill -9 one shard
 
     survived = shed = 0
     with Client(router.port) as client:
         for name in names:
-            request_id = f"after/{name}"
-            client.send(
-                {
-                    "op": "optimize",
-                    "id": request_id,
-                    "instance": name,
-                    "optimizer": "bnb",
-                    "budget": {"deadline_ms": 30000},
-                    "cache": True,
-                }
-            )
-            event = client.wait_for(
-                lambda e: e.get("id") == request_id
-                and e.get("event") in ("result", "error"),
-                f"outcome of {request_id}",
-            )
+            event = optimize_outcome(client, f"after/{name}", name)
             if event["event"] == "result":
                 survived += 1
             else:
                 if event.get("code") != "overloaded":
-                    fail(f"{request_id}: untyped shed error: {event}")
+                    fail(f"after/{name}: untyped shed error: {event}")
                 shed += 1
         if shed < 1 or survived < 1:
             fail(
@@ -542,8 +616,34 @@ def router_phase(args):
         if stats.get("shards_live") != shards - 1:
             fail(f"merged stats missed the dead shard: {stats}")
 
+    # Rejoin with empty state: restart the backend on its old port with
+    # no snapshot. The prober revives it and the router replays its share
+    # of the journal, so every name answers again.
+    backends[victim] = Server(args.binary, port=ports[victim])
+    deadline = time.monotonic() + 60.0
+    rounds = 0
+    while True:
+        rounds += 1
+        with Client(router.port) as client:
+            outcomes = [
+                optimize_outcome(client, f"rejoin{rounds}/{name}", name)
+                for name in names
+            ]
+        answered = sum(1 for event in outcomes if event["event"] == "result")
+        healed = fetch_stats(router.port)
+        if answered == len(names) and healed.get("repairs", 0) >= 1:
+            break
+        if time.monotonic() >= deadline:
+            misses = [event for event in outcomes if event["event"] != "result"]
+            fail(
+                f"fleet never healed after the rejoin: {answered}/"
+                f"{len(names)} answered (first miss {misses[:1]}), "
+                f"stats {healed}"
+            )
+        time.sleep(0.1)
+
     router.shutdown()
-    for backend in backends[1:]:
+    for backend in backends:
         try:
             code = backend.proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
@@ -557,18 +657,21 @@ def router_phase(args):
         "routed": len(names),
         "survived_after_kill": survived,
         "shed_after_kill": shed,
+        "rejoin_rounds": rounds,
+        "repairs": int(healed.get("repairs", 0)),
     }
 
 
-def optimize_outcome(client, request_id, name):
-    """Sends one optimize and returns its terminal event (result|error).
-    Failovers are invisible here by design — at most a duplicate
-    `admitted`, which the predicate skips."""
+def optimize_outcome(client, request_id, instance):
+    """Sends one optimize for `instance` (a registered name or an inline
+    document) and returns its terminal event (result|error). Failovers
+    are invisible here by design — at most a duplicate `admitted`, which
+    the predicate skips."""
     client.send(
         {
             "op": "optimize",
             "id": request_id,
-            "instance": name,
+            "instance": instance,
             "optimizer": "bnb",
             "budget": {"deadline_ms": 30000},
             "cache": True,
@@ -627,11 +730,6 @@ def replication_phase(args):
                 "--probe-interval-ms", "50",
             ),
         )
-
-        def spread_instance(i):
-            instance = make_instance(6)
-            instance["services"][0]["cost"] += 0.001 * (i + 1)
-            return instance
 
         names = [f"spread{i}" for i in range(12)]
         with Client(router.port) as client:

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "quest/store/router.hpp"
+#include "quest/cluster/backend.hpp"
 
 namespace quest::cluster {
 
@@ -57,6 +57,19 @@ void Health_monitor::mark_dead(std::size_t shard) {
   }
   wake_.notify_all();
   if (transition && shard_down_) shard_down_(shard);
+}
+
+void Health_monitor::expedite(std::size_t shard) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shard >= shards_.size() || shards_[shard].alive) return;
+    Shard_state& state = shards_[shard];
+    const Clock::time_point soonest =
+        std::max(Clock::now(), state.last_probe + options_.probe_interval);
+    if (state.next_probe <= soonest) return;
+    state.next_probe = soonest;
+  }
+  wake_.notify_all();
 }
 
 bool Health_monitor::alive(std::size_t shard) const {
@@ -115,7 +128,7 @@ void Health_monitor::probe_loop() {
     for (std::size_t shard : due) {
       // Dial outside the lock — a probe against a black-holed address can
       // block, and mark_dead/alive must not wait behind it.
-      const int fd = store::dial_backend(options_.backends[shard]);
+      const int fd = dial_backend(options_.backends[shard]);
       const bool reachable = fd >= 0;
       if (reachable) ::close(fd);
 
@@ -126,6 +139,7 @@ void Health_monitor::probe_loop() {
         if (stopping_) return;
         if (shard >= shards_.size()) continue;
         Shard_state& state = shards_[shard];
+        state.last_probe = Clock::now();
         if (reachable) {
           went_up = !state.alive;
           state.alive = true;

@@ -1,8 +1,8 @@
 // quest/cluster/health.hpp
 //
 // Active fleet health: a single probe thread that keeps a live/dead
-// verdict per backend shard, replacing the legacy router's lazy
-// "discover death on the next forward" reconnects. Live shards are
+// verdict per backend shard, so the router never has to "discover death
+// on the next forward" with a lazy reconnect. Live shards are
 // probed at a fixed cadence (a TCP dial that is immediately closed —
 // the cheapest question the transport layer can answer); dead shards
 // are re-probed with exponential backoff (interval * 2^failures, capped)
@@ -47,8 +47,7 @@ class Health_monitor {
   /// `shard_up` / `shard_down` fire on every transition (never while the
   /// monitor's lock is held, so they may call back into the monitor).
   /// Either may be empty. Shards start *live* — the fleet is assumed
-  /// healthy until a probe or a send failure proves otherwise, matching
-  /// the legacy router's optimism.
+  /// healthy until a probe or a send failure proves otherwise.
   Health_monitor(Health_options options,
                  std::function<void(std::size_t)> shard_up,
                  std::function<void(std::size_t)> shard_down);
@@ -67,6 +66,13 @@ class Health_monitor {
   /// schedules the first re-probe one base interval out.
   void mark_dead(std::size_t shard);
 
+  /// Traffic wants a dead shard: pull its next probe in to one base
+  /// interval after its last probe (now, if that has passed), so a
+  /// backend that restarts under load is seen within probe_interval
+  /// rather than after a long backoff. Never probes a shard more than
+  /// once per interval; no-op for a live shard.
+  void expedite(std::size_t shard);
+
   bool alive(std::size_t shard) const;
   std::size_t live_count() const;
   /// Shards currently dead — the "shards_degraded" stats gauge.
@@ -78,6 +84,7 @@ class Health_monitor {
   struct Shard_state {
     bool alive = true;
     std::size_t failures = 0;
+    Clock::time_point last_probe = Clock::time_point::min();  // never
     Clock::time_point next_probe{};
   };
 

@@ -1,12 +1,13 @@
 // quest/cluster/replica_router.hpp
 //
-// The self-healing front of a replicated quest_serve fleet. Like
-// store::Router it speaks the ordinary wire protocol to clients and
-// forwards raw lines to backends by consistent-hashed fingerprint — but
-// where the plain router binds each key to exactly one shard and sheds
-// when that shard dies, the replica router binds each key to the first R
-// distinct shards on the ring (Shard_map::replicas) and keeps serving
-// through the loss of any R-1 of them:
+// The front of a quest_serve fleet, and its only router. It speaks the
+// ordinary wire protocol to clients and forwards raw lines to backends
+// by consistent-hashed instance fingerprint: each key is bound to the
+// first R distinct shards on the ring (Shard_map::replicas), so it keeps
+// serving through the loss of any R-1 of them. R=1 is plain sharding —
+// an owner list of length one, with no secondaries and no failover
+// target — and runs the same code: the journal and the health prober
+// still heal a backend that restarts empty.
 //
 //  * register / observe / refit — *fan out*: the first live owner is the
 //    client-visible forward (its events stream back verbatim); the other
@@ -15,13 +16,16 @@
 //    reached bumps the "replica_lag" counter instead of failing the op.
 //    Registers are additionally recorded in the Registration_journal —
 //    the repair source of truth.
-//  * optimize / cancel — go to the first live owner; on a dead
-//    connection (at admission or mid-flight) or a backend "overloaded"
-//    shed, the router re-sends the saved raw line to the next live
-//    owner and counts a "replica_failovers". Request ids are never
-//    rewritten, so clients cannot tell a failover happened (beyond a
-//    possible duplicate "admitted" — delivery is at-least-once across a
-//    failover, never at-most-once).
+//  * optimize / optimize_batch / cancel — go to the first live owner;
+//    batches are split into per-element optimizes (elements may hash to
+//    different shards) and the router emits the batch-admitted event
+//    itself. On a dead connection (at admission or mid-flight) or a
+//    backend "overloaded" shed, the router re-sends the saved raw line
+//    to the next live owner and counts a "replica_failovers". Request
+//    ids are never rewritten, so clients cannot tell a failover happened
+//    (beyond a possible duplicate "admitted" — delivery is at-least-once
+//    across a failover, never at-most-once). With no owner left the
+//    client gets the protocol's typed "overloaded" error.
 //  * repair — a backend answering a routed optimize with the typed
 //    "unknown-instance" error is missing state it owns; the router
 //    replays the journaled register on that same connection, swallows
@@ -29,21 +33,25 @@
 //    rejoining after death (Health_monitor dead->live) is healed the
 //    same way: every journaled registration it owns is replayed ahead
 //    of traffic.
-//  * stats — the plain router's merge, grown with "replicas",
+//  * stats — fanned out to every reachable backend and merged into one
+//    event (quest/cluster/backend.hpp): counters summed, "shards",
+//    "shards_live", and the five replication fields "replicas",
 //    "shards_degraded", "replica_failovers", "repairs", "replica_lag".
-//    (Emitted only by this router — the R=1 path keeps the legacy stats
-//    event byte-stable.)
+//  * shutdown — forwarded to every reachable backend; the router emits
+//    one merged shutting-down / shutdown-complete pair and stops.
 //
 // Liveness comes from an active Health_monitor (probe thread with
 // exponential backoff), not lazy reconnects: routing never dials a shard
-// the prober says is dead, and a send failure reports the death
-// immediately via mark_dead.
+// the prober says is dead — it asks the prober to look again within one
+// probe interval instead (expedite) — and a send failure reports the
+// death immediately via mark_dead.
 //
 // Threading: client bytes arrive on the transport loop thread; each
 // backend connection has a reader thread; the health prober calls in on
-// transitions. One router-wide mutex guards all shared state. Reader
-// threads are never joined while it is held — dead links are parked on a
-// zombie list and reaped from the loop thread.
+// transitions. One router-wide mutex guards all shared state; a routed
+// op and a backend line each take it once for all their decisions.
+// Reader threads are never joined while it is held — dead links are
+// parked on a zombie list and reaped from the loop thread.
 
 #pragma once
 
@@ -72,8 +80,8 @@ struct Replica_options {
   /// Backend addresses, "host:port", one per shard; index = shard id.
   std::vector<std::string> backends;
   /// Replication factor R: every key lives on this many distinct shards.
-  /// Must satisfy 1 <= replicas <= backends.size(). (R=1 is legal but
-  /// the plain store::Router is the byte-stable way to run it.)
+  /// Must satisfy 1 <= replicas <= backends.size(). R=1 is plain
+  /// sharding: one owner per key, nothing to fail over to.
   std::size_t replicas = 2;
   /// Consistent-hash ring points per shard (Shard_map).
   std::size_t ring_points = 64;
@@ -86,8 +94,9 @@ struct Replica_options {
   std::chrono::milliseconds max_backoff{8000};
 };
 
-/// The replicated sharding proxy. Construct with a listening transport,
-/// then serve(); returns true when a client shutdown op ended the run.
+/// The sharding proxy, replicated when R > 1. Construct with a listening
+/// transport, then serve(); returns true when a client shutdown op ended
+/// the run.
 class Replica_router {
  public:
   Replica_router(Replica_options options, serve::Transport& transport);
@@ -99,7 +108,7 @@ class Replica_router {
   /// Runs the transport loop until stop()/shutdown. Call once.
   bool serve();
 
-  /// Counters, exposed for tests.
+  /// Counters, reported in the merged stats event and read by tests.
   std::uint64_t replica_failovers() const {
     return replica_failovers_.load(std::memory_order_relaxed);
   }
@@ -180,24 +189,28 @@ class Replica_router {
   void handle_cancel(const std::shared_ptr<Client>& client,
                      const std::string& id, std::string_view line);
   /// register/observe/refit share the fan-out shape; this does the
-  /// primary-ack + best-effort-secondaries part.
-  void fan_out(const std::shared_ptr<Client>& client,
-               const std::vector<std::size_t>& owners, std::string_view line,
-               const std::string& id);
+  /// primary-ack + best-effort-secondaries part. Caller holds mutex_.
+  void fan_out_locked(const std::shared_ptr<Client>& client,
+                      const std::vector<std::size_t>& owners,
+                      std::string_view line, const std::string& id);
   void handle_stats(const std::shared_ptr<Client>& client,
                     std::string_view line);
   bool handle_shutdown(const std::shared_ptr<Client>& client,
                        std::string_view line);
 
   /// Resolves the "instance" field (registered name or inline document)
-  /// to a fingerprint; false when resolution failed (an error event has
-  /// been sent).
+  /// to a fingerprint and returns with `lock` holding mutex_, so the
+  /// caller routes in the same critical section as the name lookup.
+  /// Inline documents are fingerprinted before locking. False when
+  /// resolution failed (an error event has been sent).
   bool resolve_instance(const std::shared_ptr<Client>& client,
                         const io::Json& doc, const std::string& id,
-                        std::uint64_t& print);
+                        std::uint64_t& print,
+                        std::unique_lock<std::mutex>& lock);
 
-  /// Live client link to `shard`; dials if needed (never for a shard the
-  /// health monitor calls dead). Caller holds mutex_.
+  /// Live client link to `shard`; dials if needed. Never dials a shard
+  /// the health monitor calls dead — it expedites that shard's next
+  /// probe and returns nullptr. Caller holds mutex_.
   std::shared_ptr<Link> link_locked(const std::shared_ptr<Client>& client,
                                     std::size_t shard);
   /// Sends `line` to `shard` over the client's link; marks the shard
@@ -221,10 +234,12 @@ class Replica_router {
   void reader_loop(std::shared_ptr<Link> link);
   void handle_backend_line(const std::shared_ptr<Link>& link,
                            std::string_view line);
-  /// True when the line was an intercepted error (failover / repair /
-  /// swallowed repair ack) that must not reach the client.
-  bool intercept_event(const std::shared_ptr<Link>& link,
-                       std::string_view line);
+  /// True when the line was intercepted (a stats event owed to a merge,
+  /// a per-backend shutdown event, a failover / repair error, or a
+  /// swallowed repair ack) and must not reach the client. Caller holds
+  /// mutex_.
+  bool intercept_locked(const std::shared_ptr<Link>& link,
+                        std::string_view line);
   void link_down(const std::shared_ptr<Link>& link);
   void finish_merge_locked(Client& client);
 
@@ -237,6 +252,14 @@ class Replica_router {
   /// Joins and closes parked links. Loop thread (or destructor) only,
   /// mutex_ NOT held.
   void reap_zombies();
+  /// Marks an intentionally closed link retired (its reader's exit then
+  /// leaves the shard's health alone) and moves it onto `doomed`.
+  /// Caller holds mutex_.
+  static void retire_locked(std::shared_ptr<Link>& slot,
+                            std::vector<std::shared_ptr<Link>>& doomed);
+  /// Shuts every socket down first so all readers unblock at once, then
+  /// joins and closes. mutex_ NOT held.
+  static void join_links(const std::vector<std::shared_ptr<Link>>& links);
   void teardown_all();
 
   Replica_options options_;
@@ -247,8 +270,10 @@ class Replica_router {
 
   std::mutex mutex_;
   std::unordered_map<serve::Connection_id, std::shared_ptr<Client>> clients_;
-  /// Registered name -> fingerprint (same restart semantics as the
-  /// plain router: clients re-register, backends dedupe by fingerprint).
+  /// Registered name -> fingerprint. Names registered before a router
+  /// restart are unknown to the new router: clients re-register (or send
+  /// inline documents), and backends dedupe by fingerprint, so that is
+  /// idempotent and cache-preserving.
   std::unordered_map<std::string, std::uint64_t> names_;
   /// Per-shard replication feeds (event-swallowing links).
   std::vector<std::shared_ptr<Link>> feeds_;

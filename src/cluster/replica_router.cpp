@@ -5,15 +5,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <iterator>
 #include <utility>
 
+#include "quest/cluster/backend.hpp"
 #include "quest/common/error.hpp"
 #include "quest/io/fingerprint.hpp"
 #include "quest/io/instance_io.hpp"
 #include "quest/serve/protocol.hpp"
 #include "quest/store/jsonl.hpp"
-#include "quest/store/router.hpp"
 
 namespace quest::cluster {
 
@@ -21,6 +20,21 @@ namespace {
 
 bool starts_with(std::string_view line, std::string_view prefix) {
   return line.substr(0, prefix.size()) == prefix;
+}
+
+std::uint64_t document_fingerprint(const io::Json& instance) {
+  const io::Instance_document document = io::instance_from_json(instance);
+  return io::fingerprint(
+      document.instance,
+      document.precedence ? &*document.precedence : nullptr);
+}
+
+std::string line_overflow(std::size_t max_line_bytes) {
+  return serve::error_event("request line exceeds " +
+                                std::to_string(max_line_bytes) +
+                                " bytes and was discarded",
+                            {}, "line-overflow")
+      .dump();
 }
 
 }  // namespace
@@ -96,12 +110,7 @@ void Replica_router::on_data(serve::Connection_id id,
                                 newline - start);
     start = newline + 1;
     if (line.size() > options_.max_line_bytes) {
-      transport_.send(
-          id, serve::error_event("request line exceeds " +
-                                     std::to_string(options_.max_line_bytes) +
-                                     " bytes and was discarded",
-                                 {}, "line-overflow")
-                  .dump());
+      transport_.send(id, line_overflow(options_.max_line_bytes));
       continue;
     }
     if (!handle_line(client, line)) return;
@@ -109,12 +118,7 @@ void Replica_router::on_data(serve::Connection_id id,
   client->inbuf.erase(0, start);
 
   if (client->inbuf.size() > options_.max_line_bytes) {
-    transport_.send(
-        id, serve::error_event("request line exceeds " +
-                                   std::to_string(options_.max_line_bytes) +
-                                   " bytes and was discarded",
-                               {}, "line-overflow")
-                .dump());
+    transport_.send(id, line_overflow(options_.max_line_bytes));
     client->inbuf.clear();
     client->inbuf.shrink_to_fit();
     client->discarding = true;
@@ -127,17 +131,9 @@ void Replica_router::on_close(serve::Connection_id id) {
   std::vector<std::shared_ptr<Link>> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : found->second->links) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
-    }
+    for (auto& slot : found->second->links) retire_locked(slot, doomed);
   }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
+  join_links(doomed);
   clients_.erase(found);
   reap_zombies();
 }
@@ -241,8 +237,10 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
 
   if (op == "observe" || op == "refit") {
     std::uint64_t print = 0;
-    if (!resolve_instance(client, doc, {}, print)) return true;
-    fan_out(client, map_.replicas(print, options_.replicas), line, {});
+    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+    if (!resolve_instance(client, doc, {}, print, lock)) return true;
+    fan_out_locked(client, map_.replicas(print, options_.replicas), line,
+                   {});
     return true;
   }
 
@@ -268,11 +266,7 @@ void Replica_router::handle_register(const std::shared_ptr<Client>& client,
   std::uint64_t print = 0;
   try {
     name = doc.at("name").as_string();
-    const io::Instance_document document =
-        io::instance_from_json(doc.at("instance"));
-    print = io::fingerprint(
-        document.instance,
-        document.precedence ? &*document.precedence : nullptr);
+    print = document_fingerprint(doc.at("instance"));
   } catch (const std::exception& error) {
     transport_.send(client->id,
                     serve::error_event(error.what(), {}, "parse").dump());
@@ -281,17 +275,16 @@ void Replica_router::handle_register(const std::shared_ptr<Client>& client,
   // Journal before forwarding: even a register that sheds (whole owner
   // set down) is replayable the moment an owner comes back.
   journal_.record(print, name, std::string(line));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    names_[name] = print;
-  }
-  fan_out(client, map_.replicas(print, options_.replicas), line, {});
+  std::lock_guard<std::mutex> lock(mutex_);
+  names_[name] = print;
+  fan_out_locked(client, map_.replicas(print, options_.replicas), line, {});
 }
 
 bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
                                       const io::Json& doc,
                                       const std::string& id,
-                                      std::uint64_t& print) {
+                                      std::uint64_t& print,
+                                      std::unique_lock<std::mutex>& lock) {
   const io::Json* instance = doc.find("instance");
   if (instance == nullptr) {
     transport_.send(
@@ -299,28 +292,26 @@ bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
         serve::error_event("op needs an \"instance\"", id, "parse").dump());
     return false;
   }
-  if (instance->is_string()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto found = names_.find(instance->as_string());
-    if (found == names_.end()) {
-      transport_.send(
-          client->id,
-          serve::unknown_instance_event(instance->as_string(), id).dump());
+  if (!instance->is_string()) {
+    try {
+      print = document_fingerprint(*instance);
+    } catch (const std::exception& error) {
+      transport_.send(client->id,
+                      serve::error_event(error.what(), id, "parse").dump());
       return false;
     }
-    print = found->second;
+    lock.lock();
     return true;
   }
-  try {
-    const io::Instance_document document = io::instance_from_json(*instance);
-    print = io::fingerprint(
-        document.instance,
-        document.precedence ? &*document.precedence : nullptr);
-  } catch (const std::exception& error) {
-    transport_.send(client->id,
-                    serve::error_event(error.what(), id, "parse").dump());
+  lock.lock();
+  const auto found = names_.find(instance->as_string());
+  if (found == names_.end()) {
+    transport_.send(
+        client->id,
+        serve::unknown_instance_event(instance->as_string(), id).dump());
     return false;
   }
+  print = found->second;
   return true;
 }
 
@@ -329,17 +320,15 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
                                     const std::string& id,
                                     std::string_view line) {
   std::uint64_t print = 0;
-  if (!resolve_instance(client, doc, id, print)) return;
-  const std::vector<std::size_t> owners =
-      map_.replicas(print, options_.replicas);
-
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+  if (!resolve_instance(client, doc, id, print, lock)) return;
+  std::vector<std::size_t> owners = map_.replicas(print, options_.replicas);
   for (std::size_t index = 0; index < owners.size(); ++index) {
     if (!send_locked(client, owners[index], line)) continue;
     if (!id.empty()) {
       Route route;
       route.fingerprint = print;
-      route.owners = owners;
+      route.owners = std::move(owners);
       route.owner_index = index;
       route.hops = index > 0 ? 1 : 0;
       route.line = std::string(line);
@@ -367,10 +356,10 @@ void Replica_router::handle_cancel(const std::shared_ptr<Client>& client,
   if (!send_locked(client, shard, line)) shed(client, id, shard);
 }
 
-void Replica_router::fan_out(const std::shared_ptr<Client>& client,
-                             const std::vector<std::size_t>& owners,
-                             std::string_view line, const std::string& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void Replica_router::fan_out_locked(const std::shared_ptr<Client>& client,
+                                    const std::vector<std::size_t>& owners,
+                                    std::string_view line,
+                                    const std::string& id) {
   // The first reachable owner carries the client-visible ack; every
   // other owner gets the line best-effort over its replication feed.
   std::size_t acked = owners.size();
@@ -414,7 +403,7 @@ void Replica_router::handle_stats(const std::shared_ptr<Client>& client,
   client->merge_events.clear();
   for (const auto& member : members) member->merge_member = true;
   for (const auto& member : members) {
-    if (!store::send_backend_line(member->fd, line)) {
+    if (!send_backend_line(member->fd, line)) {
       // The reader's EOF path retires this link's share of the merge.
       ::shutdown(member->fd, SHUT_RDWR);
     }
@@ -429,7 +418,7 @@ bool Replica_router::handle_shutdown(const std::shared_ptr<Client>& client,
     for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
       const auto link = link_locked(client, shard);
       if (link == nullptr) continue;
-      if (!store::send_backend_line(link->fd, line)) {
+      if (!send_backend_line(link->fd, line)) {
         ::shutdown(link->fd, SHUT_RDWR);
       }
     }
@@ -439,17 +428,9 @@ bool Replica_router::handle_shutdown(const std::shared_ptr<Client>& client,
   std::vector<std::shared_ptr<Link>> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : client->links) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
-    }
+    for (auto& slot : client->links) retire_locked(slot, doomed);
   }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
+  join_links(doomed);
 
   double outstanding = 0;
   double completed = 0;
@@ -479,8 +460,11 @@ std::shared_ptr<Replica_router::Link> Replica_router::link_locked(
     return slot;
   }
   if (slot != nullptr) park_locked(std::move(slot));
-  if (!health_.alive(shard)) return nullptr;
-  const int fd = store::dial_backend(options_.backends[shard]);
+  if (!health_.alive(shard)) {
+    health_.expedite(shard);
+    return nullptr;
+  }
+  const int fd = dial_backend(options_.backends[shard]);
   if (fd < 0) {
     health_.mark_dead(shard);
     return nullptr;
@@ -498,7 +482,7 @@ bool Replica_router::send_locked(const std::shared_ptr<Client>& client,
                                  std::size_t shard, std::string_view line) {
   const auto link = link_locked(client, shard);
   if (link == nullptr) return false;
-  if (!store::send_backend_line(link->fd, line)) {
+  if (!send_backend_line(link->fd, line)) {
     health_.mark_dead(shard);
     ::shutdown(link->fd, SHUT_RDWR);
     return false;
@@ -514,7 +498,7 @@ bool Replica_router::feed_send_locked(std::size_t shard,
   }
   if (slot == nullptr) {
     if (!health_.alive(shard)) return false;
-    const int fd = store::dial_backend(options_.backends[shard]);
+    const int fd = dial_backend(options_.backends[shard]);
     if (fd < 0) {
       health_.mark_dead(shard);
       return false;
@@ -525,7 +509,7 @@ bool Replica_router::feed_send_locked(std::size_t shard,
     link->reader = std::thread([this, link] { reader_loop(link); });
     slot = link;
   }
-  if (!store::send_backend_line(slot->fd, line)) {
+  if (!send_backend_line(slot->fd, line)) {
     health_.mark_dead(shard);
     ::shutdown(slot->fd, SHUT_RDWR);
     return false;
@@ -589,22 +573,20 @@ void Replica_router::reader_loop(std::shared_ptr<Link> link) {
 
 void Replica_router::handle_backend_line(const std::shared_ptr<Link>& link,
                                          std::string_view line) {
-  if (intercept_event(link, line)) return;
-  const std::string finished = store::result_event_id(line);
-  if (!finished.empty()) {
+  const std::string finished = result_event_id(line);
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    link->client->routes.erase(finished);
+    if (intercept_locked(link, line)) return;
+    if (!finished.empty()) link->client->routes.erase(finished);
   }
   transport_.send(link->client->id, line);
 }
 
-bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
-                                     std::string_view line) {
+bool Replica_router::intercept_locked(const std::shared_ptr<Link>& link,
+                                      std::string_view line) {
   const std::shared_ptr<Client>& client = link->client;
   const bool error_like = starts_with(line, "{\"event\":\"error\"");
   const bool registered_like = starts_with(line, "{\"event\":\"registered\"");
-
-  std::lock_guard<std::mutex> lock(mutex_);
   if (!link->merge_member && !client->closing && !error_like &&
       !(registered_like && !link->repairs.empty())) {
     return false;
@@ -654,7 +636,7 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
       if (repair != link->repairs.end()) {
         repairs_.fetch_add(1, std::memory_order_relaxed);
         for (const std::string& queued : repair->second) {
-          if (!store::send_backend_line(link->fd, queued)) {
+          if (!send_backend_line(link->fd, queued)) {
             // Link died mid-repair; link_down will fail the queued ops
             // over via their routes.
             health_.mark_dead(link->shard);
@@ -705,7 +687,7 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
         return false;  // nothing journaled: the client sees the error
       }
       link->repairs[route.fingerprint].push_back(route.line);
-      if (!store::send_backend_line(link->fd, register_line)) {
+      if (!send_backend_line(link->fd, register_line)) {
         health_.mark_dead(link->shard);
         ::shutdown(link->fd, SHUT_RDWR);
       }
@@ -776,19 +758,14 @@ void Replica_router::link_down(const std::shared_ptr<Link>& link) {
 }
 
 void Replica_router::finish_merge_locked(Client& client) {
-  io::Json merged =
-      store::merge_stats_events(client.merge_events, options_.backends.size());
-  merged.set("replicas", static_cast<double>(options_.replicas));
-  merged.set("shards_degraded",
-             static_cast<double>(health_.degraded_count()));
-  merged.set("replica_failovers",
-             static_cast<double>(
-                 replica_failovers_.load(std::memory_order_relaxed)));
-  merged.set("repairs",
-             static_cast<double>(repairs_.load(std::memory_order_relaxed)));
-  merged.set("replica_lag",
-             static_cast<double>(
-                 replica_lag_.load(std::memory_order_relaxed)));
+  const io::Json merged = merge_stats_events(
+      client.merge_events,
+      {.shards = options_.backends.size(),
+       .replicas = options_.replicas,
+       .shards_degraded = health_.degraded_count(),
+       .replica_failovers = replica_failovers(),
+       .repairs = repairs(),
+       .replica_lag = replica_lag()});
   client.merge_pending = 0;
   client.merge_events.clear();
   transport_.send(client.id, merged.dump());
@@ -825,8 +802,20 @@ void Replica_router::reap_zombies() {
     std::lock_guard<std::mutex> lock(mutex_);
     dead.swap(zombies_);
   }
-  for (const auto& link : dead) {
-    ::shutdown(link->fd, SHUT_RDWR);
+  join_links(dead);
+}
+
+void Replica_router::retire_locked(
+    std::shared_ptr<Link>& slot, std::vector<std::shared_ptr<Link>>& doomed) {
+  if (slot == nullptr) return;
+  slot->retired.store(true, std::memory_order_release);
+  doomed.push_back(std::move(slot));
+}
+
+void Replica_router::join_links(
+    const std::vector<std::shared_ptr<Link>>& links) {
+  for (const auto& link : links) ::shutdown(link->fd, SHUT_RDWR);
+  for (const auto& link : links) {
     if (link->reader.joinable()) link->reader.join();
     ::close(link->fd);
   }
@@ -837,28 +826,13 @@ void Replica_router::teardown_all() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& [id, client] : clients_) {
-      for (auto& slot : client->links) {
-        if (slot == nullptr) continue;
-        slot->retired.store(true, std::memory_order_release);
-        ::shutdown(slot->fd, SHUT_RDWR);
-        doomed.push_back(std::move(slot));
-      }
+      for (auto& slot : client->links) retire_locked(slot, doomed);
     }
-    for (auto& slot : feeds_) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
-    }
-    doomed.insert(doomed.end(),
-                  std::make_move_iterator(zombies_.begin()),
-                  std::make_move_iterator(zombies_.end()));
+    for (auto& slot : feeds_) retire_locked(slot, doomed);
+    for (auto& slot : zombies_) doomed.push_back(std::move(slot));
     zombies_.clear();
   }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
+  join_links(doomed);
   clients_.clear();
 }
 

@@ -88,11 +88,43 @@ TEST(Health_monitor_test, MarkDeadIsImmediateAndProbesRevive) {
   monitor.stop();
 }
 
+TEST(Health_monitor_test, ExpediteProbesADeadShardWithinOneInterval) {
+  serve::Tcp_options tcp;
+  tcp.port = 0;
+  serve::Tcp_transport listener(tcp);
+
+  // Interval and backoff far beyond the test's five-second polls: any
+  // probe seen here was pulled in by expedite().
+  Health_options options;
+  options.backends = {"127.0.0.1:" + std::to_string(listener.port())};
+  options.probe_interval = std::chrono::minutes(1);
+  options.max_backoff = std::chrono::minutes(1);
+  Health_monitor monitor(options, nullptr, nullptr);
+
+  monitor.expedite(0);  // live: no-op
+  monitor.mark_dead(0);  // next scheduled probe a minute out
+  monitor.start();
+  EXPECT_FALSE(monitor.alive(0));
+  // Never probed yet, so the expedited probe runs now and finds the
+  // listener.
+  monitor.expedite(0);
+  EXPECT_TRUE(eventually([&] { return monitor.alive(0); }));
+
+  // Just probed: expedite may not pull the next probe in closer than
+  // one interval after it, so the shard stays dead.
+  monitor.mark_dead(0);
+  monitor.expedite(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(monitor.alive(0));
+  monitor.stop();
+}
+
 TEST(Health_monitor_test, OutOfRangeShardsAreIgnored) {
   Health_options options;
   options.backends = {"127.0.0.1:1"};
   Health_monitor monitor(options, nullptr, nullptr);
   monitor.mark_dead(7);  // no crash, no state change
+  monitor.expedite(7);
   EXPECT_FALSE(monitor.alive(7));
   EXPECT_EQ(monitor.live_count(), 1u);
 }

@@ -64,10 +64,15 @@ TEST(Replica_router_test, ConstructsWithFullReplication) {
 
 TEST(Replica_router_test, CountersStartAtZero) {
   serve::Stdio_transport transport;
-  Replica_router router(three_backends(), transport);
-  EXPECT_EQ(router.replica_failovers(), 0u);
-  EXPECT_EQ(router.repairs(), 0u);
-  EXPECT_EQ(router.replica_lag(), 0u);
+  // R=1 (quest_router's default: one owner per key) and R=2.
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    Replica_options options = three_backends();
+    options.replicas = replicas;
+    Replica_router router(options, transport);
+    EXPECT_EQ(router.replica_failovers(), 0u);
+    EXPECT_EQ(router.repairs(), 0u);
+    EXPECT_EQ(router.replica_lag(), 0u);
+  }
 }
 
 }  // namespace

@@ -186,8 +186,10 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
   server.handle(register_op("prod", test::selective_instance(12, 5)));
 
   for (int request_index = 0; request_index < 8; ++request_index) {
-    server.handle(
-        long_running_op("c" + std::to_string(request_index), "prod"));
+    Optimize_op op =
+        long_running_op("c" + std::to_string(request_index), "prod");
+    op.stream = true;
+    server.handle(std::move(op));
   }
   // All eight must be running at once — the high-water mark proves the
   // pool sustained them concurrently (scheduling, not wall-clock
@@ -198,6 +200,18 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
   }
   EXPECT_EQ(server.stats().max_concurrent, 8u);
 
+  // A run cancelled before its first complete plan may end incomplete
+  // (quest/opt/optimizer.hpp); each job's first incumbent proves it has
+  // one, so the cancelled results below must all be complete.
+  for (int request_index = 0; request_index < 8; ++request_index) {
+    const std::string id = "c" + std::to_string(request_index);
+    log.wait_for([&](const io::Json& event) {
+      const io::Json* kind = event.find("event");
+      const io::Json* event_id = event.find("id");
+      return kind != nullptr && kind->as_string() == "incumbent" &&
+             event_id != nullptr && event_id->as_string() == id;
+    });
+  }
   for (int request_index = 0; request_index < 8; ++request_index) {
     server.handle(Cancel_op{"c" + std::to_string(request_index)});
   }
