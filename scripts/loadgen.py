@@ -472,7 +472,9 @@ def spread_instance(i):
 
 def check_batch(client, names):
     """One optimize_batch over every name: exactly one batch-admitted,
-    ahead of one result per element, and no error."""
+    ahead of one result per element, and no error. Then three batches
+    the server refuses whole (no requests, no id, one malformed element)
+    must be refused whole."""
     client.send(
         {
             "op": "optimize_batch",
@@ -506,6 +508,30 @@ def check_batch(client, names):
             fail(f"batch element failed through the router: {event}")
     if admitted != 1:
         fail(f"expected one batch-admitted, got {admitted}")
+
+    # The router refuses what the server refuses — the whole batch, with
+    # one typed parse error and nothing admitted.
+    element = {"instance": names[0], "optimizer": "bnb"}
+    refusals = {
+        "one malformed element": {
+            "op": "optimize_batch",
+            "id": "malformed",
+            "requests": [element, {**element, "budget": {"deadline_ms": -1}}],
+        },
+        "empty requests": {"op": "optimize_batch", "id": "empty",
+                           "requests": []},
+        "no batch id": {"op": "optimize_batch", "requests": [element]},
+    }
+    for what, op in refusals.items():
+        batch_id = op.get("id", "")
+        client.send(op)
+        answer = client.wait_for(
+            lambda e: e.get("event") in ("batch-admitted", "error", "result")
+            and e.get("id", "").split("/")[0] == batch_id,
+            f"answer to a batch with {what}",
+        )
+        if answer.get("event") != "error" or answer.get("code") != "parse":
+            fail(f"batch with {what} must be refused as a parse error: {answer}")
 
 
 def check_router_ops(client, names):

@@ -1,13 +1,6 @@
 #include "quest/cluster/backend.hpp"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <map>
 #include <utility>
 
@@ -63,54 +56,6 @@ io::Json merge_stats_events(const std::vector<io::Json>& events,
   merged.set("repairs", static_cast<double>(fleet.repairs));
   merged.set("replica_lag", static_cast<double>(fleet.replica_lag));
   return merged;
-}
-
-int dial_backend(const std::string& address) noexcept {
-  const auto colon = address.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == address.size()) {
-    return -1;
-  }
-  const std::string host = address.substr(0, colon);
-  const std::string port = address.substr(colon + 1);
-
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &results) != 0) {
-    return -1;
-  }
-  int fd = -1;
-  for (addrinfo* entry = results; entry != nullptr; entry = entry->ai_next) {
-    fd = ::socket(entry->ai_family, entry->ai_socktype, entry->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, entry->ai_addr, entry->ai_addrlen) == 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      break;
-    }
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(results);
-  return fd;
-}
-
-bool send_backend_line(int fd, std::string_view line) noexcept {
-  std::string framed(line);
-  framed.push_back('\n');
-  std::size_t offset = 0;
-  while (offset < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + offset,
-                             framed.size() - offset, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    offset += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 std::string result_event_id(std::string_view line) {

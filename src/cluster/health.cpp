@@ -5,16 +5,14 @@
 #include <algorithm>
 #include <utility>
 
-#include "quest/cluster/backend.hpp"
+#include "quest/serve/tcp_transport.hpp"
 
 namespace quest::cluster {
 
 Health_monitor::Health_monitor(Health_options options,
-                               std::function<void(std::size_t)> shard_up,
-                               std::function<void(std::size_t)> shard_down)
+                               std::function<void(std::size_t)> shard_up)
     : options_(std::move(options)),
       shard_up_(std::move(shard_up)),
-      shard_down_(std::move(shard_down)),
       shards_(options_.backends.size()) {
   const auto now = Clock::now();
   for (auto& shard : shards_) shard.next_probe = now;
@@ -43,7 +41,6 @@ void Health_monitor::stop() {
 }
 
 void Health_monitor::mark_dead(std::size_t shard) {
-  bool transition = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shard >= shards_.size()) return;
@@ -51,12 +48,10 @@ void Health_monitor::mark_dead(std::size_t shard) {
     if (state.alive) {
       state.alive = false;
       state.failures = 1;
-      transition = true;
     }
     state.next_probe = Clock::now() + backoff(state.failures);
   }
   wake_.notify_all();
-  if (transition && shard_down_) shard_down_(shard);
 }
 
 void Health_monitor::expedite(std::size_t shard) {
@@ -75,13 +70,6 @@ void Health_monitor::expedite(std::size_t shard) {
 bool Health_monitor::alive(std::size_t shard) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return shard < shards_.size() && shards_[shard].alive;
-}
-
-std::size_t Health_monitor::live_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t live = 0;
-  for (const auto& shard : shards_) live += shard.alive ? 1 : 0;
-  return live;
 }
 
 std::size_t Health_monitor::degraded_count() const {
@@ -118,7 +106,9 @@ void Health_monitor::probe_loop() {
         }
       }
       if (due.empty()) {
-        wake_.wait_until(lock, next_due, [this] { return stopping_; });
+        // Any notify re-plans: mark_dead and expedite move a shard's next
+        // probe, so waiting on for stopping_ alone would sleep past it.
+        wake_.wait_until(lock, next_due);
         if (stopping_) return;
         continue;
       }
@@ -128,12 +118,11 @@ void Health_monitor::probe_loop() {
     for (std::size_t shard : due) {
       // Dial outside the lock — a probe against a black-holed address can
       // block, and mark_dead/alive must not wait behind it.
-      const int fd = dial_backend(options_.backends[shard]);
+      const int fd = serve::dial_tcp(options_.backends[shard]);
       const bool reachable = fd >= 0;
       if (reachable) ::close(fd);
 
       bool went_up = false;
-      bool went_down = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         if (stopping_) return;
@@ -146,14 +135,12 @@ void Health_monitor::probe_loop() {
           state.failures = 0;
           state.next_probe = Clock::now() + options_.probe_interval;
         } else {
-          went_down = state.alive;
           state.alive = false;
           ++state.failures;
           state.next_probe = Clock::now() + backoff(state.failures);
         }
       }
       if (went_up && shard_up_) shard_up_(shard);
-      if (went_down && shard_down_) shard_down_(shard);
     }
   }
 }

@@ -1,11 +1,11 @@
 // quest/cluster/backend.hpp
 //
-// The router's side of a quest_serve backend, as free functions with no
-// router state: dialing a backend, framing a line onto its socket,
-// peeking the request id of a result line, and merging the per-backend
-// stats events into the one fleet event a client sees. The replica
-// router and its health prober share them — one dial path, one failure
-// behavior, one stats schema.
+// The router's reading of a quest_serve backend's events, as free
+// functions with no router state: peeking the request id of a result
+// line, and merging the per-backend stats events into the one fleet
+// event a client sees — one stats schema. Dialing and writing are the
+// transport's (serve::Tcp_transport::connect and send, over
+// serve::dial_tcp), so backend links live on the router's one loop.
 
 #pragma once
 
@@ -44,15 +44,6 @@ struct Fleet_counters {
 /// "repairs", "replica_lag" — present at every R.
 io::Json merge_stats_events(const std::vector<io::Json>& events,
                             const Fleet_counters& fleet);
-
-/// Blocking TCP connect to "host:port" with TCP_NODELAY set; -1 when the
-/// address is malformed or the backend unreachable.
-int dial_backend(const std::string& address) noexcept;
-
-/// Writes one newline-framed line to a backend socket; false on any
-/// write error (callers treat the link as dead). MSG_NOSIGNAL keeps a
-/// closed backend from raising SIGPIPE into the process.
-bool send_backend_line(int fd, std::string_view line) noexcept;
 
 /// Best-effort id extraction from a backend "result" line, so the
 /// router can retire that id's route entry. Result events always start

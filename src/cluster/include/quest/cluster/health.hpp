@@ -11,11 +11,11 @@
 //
 // The monitor is the *authority* on shard liveness but not the only
 // informant: the replica router calls mark_dead() the instant a forward
-// hits a dead socket, so routing decisions never wait a probe period to
-// learn what a failed write already proved. Transitions fire callbacks
-// (on the probe thread for probe-driven ones, on the caller's thread for
-// mark_dead) — the router uses dead->live to trigger journal-replay
-// repair of the rejoining backend.
+// fails (a dead or stuck link), so routing decisions never wait a probe
+// period to learn what a failed write already proved. A probe that sees
+// a dead shard answer again fires the shard_up callback on the probe
+// thread — the router posts it to its loop, where it triggers
+// journal-replay repair of the rejoining backend.
 
 #pragma once
 
@@ -44,13 +44,12 @@ struct Health_options {
 /// All public methods are thread-safe.
 class Health_monitor {
  public:
-  /// `shard_up` / `shard_down` fire on every transition (never while the
-  /// monitor's lock is held, so they may call back into the monitor).
-  /// Either may be empty. Shards start *live* — the fleet is assumed
-  /// healthy until a probe or a send failure proves otherwise.
+  /// `shard_up` fires on the probe thread on every dead->live transition
+  /// (never while the monitor's lock is held, so it may call back into
+  /// the monitor); it may be empty. Shards start *live* — the fleet is
+  /// assumed healthy until a probe or a send failure proves otherwise.
   Health_monitor(Health_options options,
-                 std::function<void(std::size_t)> shard_up,
-                 std::function<void(std::size_t)> shard_down);
+                 std::function<void(std::size_t)> shard_up);
   ~Health_monitor();
 
   Health_monitor(const Health_monitor&) = delete;
@@ -61,9 +60,8 @@ class Health_monitor {
   /// Stops and joins the probe thread. Idempotent; also run by ~.
   void stop();
 
-  /// Reports a shard dead *now* (a forward hit a closed socket). Fires
-  /// shard_down on the calling thread if this is a transition, and
-  /// schedules the first re-probe one base interval out.
+  /// Reports a shard dead *now* (a forward failed) and schedules its
+  /// next re-probe one backoff step out.
   void mark_dead(std::size_t shard);
 
   /// Traffic wants a dead shard: pull its next probe in to one base
@@ -74,7 +72,6 @@ class Health_monitor {
   void expedite(std::size_t shard);
 
   bool alive(std::size_t shard) const;
-  std::size_t live_count() const;
   /// Shards currently dead — the "shards_degraded" stats gauge.
   std::size_t degraded_count() const;
 
@@ -93,7 +90,6 @@ class Health_monitor {
 
   Health_options options_;
   std::function<void(std::size_t)> shard_up_;
-  std::function<void(std::size_t)> shard_down_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

@@ -31,27 +31,40 @@
 //    replays the journaled register on that same connection, swallows
 //    the ack, re-sends the optimize, and counts a "repairs". A backend
 //    rejoining after death (Health_monitor dead->live) is healed the
-//    same way: every journaled registration it owns is replayed ahead
-//    of traffic.
+//    same way: every journaled registration it owns is replayed over
+//    its replication feed, one line per event the backend sends back,
+//    so any journal replays at the backend's pace; an op that reaches a
+//    key not yet replayed is repaired on its own connection.
 //  * stats — fanned out to every reachable backend and merged into one
 //    event (quest/cluster/backend.hpp): counters summed, "shards",
 //    "shards_live", and the five replication fields "replicas",
 //    "shards_degraded", "replica_failovers", "repairs", "replica_lag".
-//  * shutdown — forwarded to every reachable backend; the router emits
-//    one merged shutting-down / shutdown-complete pair and stops.
+//  * shutdown — forwarded to every reachable backend; the router keeps
+//    relaying events (under "drain":true, every drained result) until
+//    each backend has answered "shutdown-complete" or dropped its link,
+//    then emits one merged shutting-down / shutdown-complete pair
+//    ("outstanding", "completed" and "cancelled" summed, "drain"
+//    echoed) and stops. No new op is read meanwhile, and the shutdown
+//    finishes even when the requesting client has already gone.
 //
 // Liveness comes from an active Health_monitor (probe thread with
 // exponential backoff), not lazy reconnects: routing never dials a shard
 // the prober says is dead — it asks the prober to look again within one
-// probe interval instead (expedite) — and a send failure reports the
-// death immediately via mark_dead.
+// probe interval instead (expedite) — and a failed forward reports the
+// death immediately via mark_dead. A forward fails when the link is gone
+// or when it would push the link's buffer past the transport's
+// write_buffer_cap (a backend that stopped reading): either way the
+// shard is marked dead and the link closed, and the link's routes fail
+// over or shed — a stuck backend costs its own keys, not the router.
 //
-// Threading: client bytes arrive on the transport loop thread; each
-// backend connection has a reader thread; the health prober calls in on
-// transitions. One router-wide mutex guards all shared state; a routed
-// op and a backend line each take it once for all their decisions.
-// Reader threads are never joined while it is held — dead links are
-// parked on a zombie list and reaped from the loop thread.
+// Threading: one event loop. Client connections, the per-(client, shard)
+// backend links and the per-shard replication feeds are all connections
+// of the one serve::Tcp_transport, so every handler — client lines,
+// backend lines, link closes — runs on its loop thread and the router's
+// state needs no lock. The health prober keeps its own thread for its
+// blocking probes; the one transition the router acts on (a shard came
+// back) reaches the loop through Tcp_transport::post. A router process
+// runs two threads whatever the number of clients and shards.
 
 #pragma once
 
@@ -59,18 +72,19 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "quest/cluster/health.hpp"
 #include "quest/cluster/registration_journal.hpp"
 #include "quest/io/json.hpp"
-#include "quest/serve/transport.hpp"
+#include "quest/serve/line_framer.hpp"
+#include "quest/serve/tcp_transport.hpp"
 #include "quest/store/shard_map.hpp"
 
 namespace quest::cluster {
@@ -99,7 +113,7 @@ struct Replica_options {
 /// the run.
 class Replica_router {
  public:
-  Replica_router(Replica_options options, serve::Transport& transport);
+  Replica_router(Replica_options options, serve::Tcp_transport& transport);
   ~Replica_router();
 
   Replica_router(const Replica_router&) = delete;
@@ -122,24 +136,28 @@ class Replica_router {
  private:
   struct Client;
 
-  /// One connection to one backend shard. Client links (client != null)
-  /// forward backend events to their client; replication feeds
-  /// (client == null) swallow everything they read.
+  /// One connection to one backend shard. Client links forward backend
+  /// events to their client; replication feeds (client == null) swallow
+  /// everything they read, as does a departed client's link kept open
+  /// for a shutdown in flight.
   struct Link {
     std::size_t shard = 0;
-    int fd = -1;
-    std::shared_ptr<Client> client;
-    std::thread reader;
-    std::atomic<bool> down{false};
-    /// Intentional teardown (shutdown/close): the reader's exit must not
-    /// mark the shard dead — the backend did nothing wrong.
-    std::atomic<bool> retired{false};
-    /// Guarded by mutex_: owes a stats event to the merge in flight.
+    Client* client = nullptr;
+    serve::Line_framer framer;
+    /// A forward failed: the link is closing and carries nothing more.
+    bool closing = false;
+    /// Owes a stats event to the client's merge in flight.
     bool merge_member = false;
-    /// Guarded by mutex_: fingerprints whose journal register was
-    /// replayed on this link and whose "registered" ack must be
-    /// swallowed; the value holds raw op lines to re-send once it is.
+    /// Owes "shutdown-complete" to the shutdown in flight.
+    bool shutdown_member = false;
+    /// Fingerprints whose journal register was replayed on this link and
+    /// whose "registered" ack must be swallowed; the value holds raw op
+    /// lines to re-send once it is.
     std::unordered_map<std::uint64_t, std::vector<std::string>> repairs;
+    /// Feed of a rejoined shard: journal lines still to replay. One goes
+    /// out per event the backend sends back, so a journal of any size
+    /// replays at the backend's pace instead of flooding the link.
+    std::deque<std::string> replay;
   };
 
   /// Everything the router remembers about one routed request id.
@@ -159,126 +177,122 @@ class Replica_router {
   /// One front-side client connection and everything routed for it.
   struct Client {
     serve::Connection_id id = 0;
-    std::string inbuf;
-    bool discarding = false;
-    /// Indexed by shard; null until first use. Guarded by mutex_.
-    std::vector<std::shared_ptr<Link>> links;
-    /// Request id -> route. Guarded by mutex_.
+    serve::Line_framer framer;
+    /// Link per shard; 0 until first use.
+    std::vector<serve::Connection_id> links;
+    /// Request id -> route.
     std::unordered_map<std::string, Route> routes;
-    /// Stats merge in flight. Guarded by mutex_.
+    /// Stats merge in flight.
     std::size_t merge_pending = 0;
     std::vector<io::Json> merge_events;
-    /// Shutdown forwarded: readers fold per-backend shutdown events
-    /// into these instead of forwarding. Guarded by mutex_.
-    bool closing = false;
-    double shutdown_outstanding = 0;
-    double shutdown_completed = 0;
+  };
+
+  /// The fleet shutdown in flight, folded from the backends' events.
+  struct Shutdown {
+    /// The requester; 0 once it disconnected (the pair then goes
+    /// nowhere, but the fleet still goes down).
+    serve::Connection_id client = 0;
+    bool drain = false;
+    /// Backends that still owe "shutdown-complete".
+    std::size_t pending = 0;
+    double outstanding = 0;
+    double completed = 0;
+    double cancelled = 0;
   };
 
   void on_open(serve::Connection_id id);
   void on_data(serve::Connection_id id, std::string_view chunk);
+  /// A client's close closes its links (those a shutdown in flight
+  /// still waits on excepted); a link's close is link_down.
   void on_close(serve::Connection_id id);
 
-  bool handle_line(const std::shared_ptr<Client>& client,
-                   std::string_view line);
-  void handle_register(const std::shared_ptr<Client>& client,
-                       const io::Json& doc, std::string_view line);
-  void route_optimize(const std::shared_ptr<Client>& client,
-                      const io::Json& doc, const std::string& id,
-                      std::string_view line);
-  void handle_cancel(const std::shared_ptr<Client>& client,
-                     const std::string& id, std::string_view line);
-  /// register/observe/refit share the fan-out shape; this does the
-  /// primary-ack + best-effort-secondaries part. Caller holds mutex_.
-  void fan_out_locked(const std::shared_ptr<Client>& client,
-                      const std::vector<std::size_t>& owners,
-                      std::string_view line, const std::string& id);
-  void handle_stats(const std::shared_ptr<Client>& client,
-                    std::string_view line);
-  bool handle_shutdown(const std::shared_ptr<Client>& client,
+  /// False once a shutdown op was taken: the client's remaining lines
+  /// are not read.
+  bool handle_line(Client& client, std::string_view line);
+  void handle_register(Client& client, const io::Json& doc,
                        std::string_view line);
+  /// Validates the whole batch as the server would (serve::parse_op),
+  /// then routes each element as its own optimize.
+  void handle_batch(Client& client, const io::Json& doc,
+                    std::string_view line);
+  void route_optimize(Client& client, const io::Json& doc,
+                      const std::string& id, std::string_view line);
+  void handle_cancel(Client& client, const std::string& id,
+                     std::string_view line);
+  /// register/observe/refit share the fan-out shape; this does the
+  /// primary-ack + best-effort-secondaries part.
+  void fan_out(Client& client, const std::vector<std::size_t>& owners,
+               std::string_view line, const std::string& id);
+  void handle_stats(Client& client, std::string_view line);
+  bool handle_shutdown(Client& client, std::string_view line);
 
   /// Resolves the "instance" field (registered name or inline document)
-  /// to a fingerprint and returns with `lock` holding mutex_, so the
-  /// caller routes in the same critical section as the name lookup.
-  /// Inline documents are fingerprinted before locking. False when
-  /// resolution failed (an error event has been sent).
-  bool resolve_instance(const std::shared_ptr<Client>& client,
-                        const io::Json& doc, const std::string& id,
-                        std::uint64_t& print,
-                        std::unique_lock<std::mutex>& lock);
+  /// to a fingerprint. False when resolution failed (an error event has
+  /// been sent).
+  bool resolve_instance(Client& client, const io::Json& doc,
+                        const std::string& id, std::uint64_t& print);
 
-  /// Live client link to `shard`; dials if needed. Never dials a shard
-  /// the health monitor calls dead — it expedites that shard's next
-  /// probe and returns nullptr. Caller holds mutex_.
-  std::shared_ptr<Link> link_locked(const std::shared_ptr<Client>& client,
-                                    std::size_t shard);
-  /// Sends `line` to `shard` over the client's link; marks the shard
-  /// dead on failure. Caller holds mutex_.
-  bool send_locked(const std::shared_ptr<Client>& client, std::size_t shard,
-                   std::string_view line);
-  /// Sends over the shard's replication feed; false bumps nothing —
-  /// callers decide whether a miss is lag or a repair to retry. Caller
-  /// holds mutex_.
-  bool feed_send_locked(std::size_t shard, std::string_view line);
+  /// The live link in `slot` to `shard` — a client link when `client`
+  /// is set, else a replication feed — dialed if needed; 0 when there
+  /// is none. Never dials a shard the health monitor calls dead: it
+  /// expedites that shard's next probe instead.
+  serve::Connection_id open_link(serve::Connection_id& slot,
+                                 std::size_t shard, Client* client);
+  /// Sends `line` over `link` (0: no link); false, with the shard marked
+  /// dead and the link closing, when it cannot.
+  bool send_on(serve::Connection_id link, std::string_view line);
+  /// send_on over the client's link to `shard`.
+  bool send_to(Client& client, std::size_t shard, std::string_view line);
+  /// A forward on `link` failed: mark its shard dead and close it. Its
+  /// routes fail over when the close comes back through on_close.
+  void fail_link(serve::Connection_id link);
 
   /// Moves the route to its next live owner and re-sends its line; false
-  /// when no owner is left (caller sheds). Caller holds mutex_;
-  /// `avoiding` is the shard that just failed.
-  bool failover_locked(const std::shared_ptr<Client>& client, Route& route,
-                       std::size_t avoiding);
+  /// when no owner is left (caller sheds). `avoiding` is the shard that
+  /// just failed.
+  bool failover(Client& client, Route& route, std::size_t avoiding);
 
-  void shed(const std::shared_ptr<Client>& client, const std::string& id,
-            std::size_t shard);
+  void shed(Client& client, const std::string& id, std::size_t shard);
 
-  void reader_loop(std::shared_ptr<Link> link);
-  void handle_backend_line(const std::shared_ptr<Link>& link,
+  void handle_backend_line(serve::Connection_id id, Link& link,
                            std::string_view line);
   /// True when the line was intercepted (a stats event owed to a merge,
-  /// a per-backend shutdown event, a failover / repair error, or a
-  /// swallowed repair ack) and must not reach the client. Caller holds
-  /// mutex_.
-  bool intercept_locked(const std::shared_ptr<Link>& link,
-                        std::string_view line);
-  void link_down(const std::shared_ptr<Link>& link);
-  void finish_merge_locked(Client& client);
+  /// a failover / repair error, or a swallowed repair ack) and must not
+  /// reach the client.
+  bool intercept(serve::Connection_id id, Link& link, std::string_view line);
+  /// Folds a backend's shutting-down / shutdown-complete into the
+  /// shutdown in flight; true when the line was one of them.
+  bool fold_shutdown_event(Link& link, std::string_view line);
+  /// The link closed: its routes fail over or shed, its merge share is
+  /// settled, and a close the router did not ask for marks the shard
+  /// dead.
+  void link_down(serve::Connection_id id);
+  void finish_merge(Client& client);
+  void finish_shutdown();
 
-  /// Health transition: a shard came back — replay its share of the
-  /// journal over its replication feed. Runs on the probe thread.
+  /// A shard came back: replay its share of the journal over its
+  /// replication feed. Posted by the prober.
   void heal_shard(std::size_t shard);
-
-  /// Parks a dead link for the loop thread to join. Caller holds mutex_.
-  void park_locked(std::shared_ptr<Link> link);
-  /// Joins and closes parked links. Loop thread (or destructor) only,
-  /// mutex_ NOT held.
-  void reap_zombies();
-  /// Marks an intentionally closed link retired (its reader's exit then
-  /// leaves the shard's health alone) and moves it onto `doomed`.
-  /// Caller holds mutex_.
-  static void retire_locked(std::shared_ptr<Link>& slot,
-                            std::vector<std::shared_ptr<Link>>& doomed);
-  /// Shuts every socket down first so all readers unblock at once, then
-  /// joins and closes. mutex_ NOT held.
-  static void join_links(const std::vector<std::shared_ptr<Link>>& links);
-  void teardown_all();
+  /// Sends the next line of the feed's replay, if any.
+  void replay_next(serve::Connection_id feed, Link& link);
 
   Replica_options options_;
-  serve::Transport& transport_;
+  serve::Tcp_transport& transport_;
   store::Shard_map map_;
   Registration_journal journal_;
   Health_monitor health_;
 
-  std::mutex mutex_;
-  std::unordered_map<serve::Connection_id, std::shared_ptr<Client>> clients_;
+  std::unordered_map<serve::Connection_id, std::unique_ptr<Client>> clients_;
+  /// Every backend link — client links and replication feeds.
+  std::unordered_map<serve::Connection_id, Link> links_;
   /// Registered name -> fingerprint. Names registered before a router
   /// restart are unknown to the new router: clients re-register (or send
   /// inline documents), and backends dedupe by fingerprint, so that is
   /// idempotent and cache-preserving.
   std::unordered_map<std::string, std::uint64_t> names_;
-  /// Per-shard replication feeds (event-swallowing links).
-  std::vector<std::shared_ptr<Link>> feeds_;
-  /// Dead links awaiting join.
-  std::vector<std::shared_ptr<Link>> zombies_;
+  /// Replication feed per shard; 0 until first use.
+  std::vector<serve::Connection_id> feeds_;
+  std::optional<Shutdown> shutdown_;
   bool shutdown_requested_ = false;
 
   std::atomic<std::uint64_t> replica_failovers_{0};

@@ -1,11 +1,9 @@
 #include "quest/cluster/replica_router.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
+#include <deque>
 #include <utility>
+#include <variant>
 
 #include "quest/cluster/backend.hpp"
 #include "quest/common/error.hpp"
@@ -29,29 +27,34 @@ std::uint64_t document_fingerprint(const io::Json& instance) {
       document.precedence ? &*document.precedence : nullptr);
 }
 
-std::string line_overflow(std::size_t max_line_bytes) {
-  return serve::error_event("request line exceeds " +
-                                std::to_string(max_line_bytes) +
-                                " bytes and was discarded",
-                            {}, "line-overflow")
-      .dump();
+/// The string field `key` of an object, empty when absent or not a
+/// string.
+std::string string_field(const io::Json& object, std::string_view key) {
+  const io::Json* field = object.find(key);
+  return field != nullptr && field->is_string() ? field->as_string() : "";
+}
+
+/// The numeric field `key` of an object, 0 when absent or not a number.
+double number_field(const io::Json& object, std::string_view key) {
+  const io::Json* field = object.find(key);
+  return field != nullptr && field->is_number() ? field->as_number() : 0.0;
 }
 
 }  // namespace
 
 Replica_router::Replica_router(Replica_options options,
-                               serve::Transport& transport)
+                               serve::Tcp_transport& transport)
     : options_(std::move(options)),
       transport_(transport),
       map_(std::max<std::size_t>(options_.backends.size(), 1),
            options_.ring_points),
       journal_(options_.journal),
-      health_(
-          Health_options{options_.backends, options_.probe_interval,
-                         options_.max_backoff},
-          [this](std::size_t shard) { heal_shard(shard); },
-          /*shard_down=*/nullptr),
-      feeds_(options_.backends.size()) {
+      health_(Health_options{options_.backends, options_.probe_interval,
+                             options_.max_backoff},
+              [this](std::size_t shard) {
+                transport_.post([this, shard] { heal_shard(shard); });
+              }),
+      feeds_(options_.backends.size(), 0) {
   QUEST_EXPECTS(!options_.backends.empty(),
                 "replica router needs at least one backend");
   QUEST_EXPECTS(options_.replicas >= 1 &&
@@ -62,13 +65,9 @@ Replica_router::Replica_router(Replica_options options,
   health_.start();
 }
 
-Replica_router::~Replica_router() {
-  // Probe thread first, so no heal replay races the teardown; then every
-  // link (client-facing and replication feeds) in the two-pass
-  // shutdown-then-join order.
-  health_.stop();
-  teardown_all();
-}
+// The transport's teardown already closed every link; only the prober
+// (and with it any further heal post) has to stop.
+Replica_router::~Replica_router() { health_.stop(); }
 
 bool Replica_router::serve() {
   serve::Transport::Handlers handlers;
@@ -81,186 +80,105 @@ bool Replica_router::serve() {
 }
 
 void Replica_router::on_open(serve::Connection_id id) {
-  auto client = std::make_shared<Client>();
+  auto client = std::make_unique<Client>();
   client->id = id;
-  client->links.resize(options_.backends.size());
+  client->framer = serve::Line_framer(options_.max_line_bytes);
+  client->links.resize(options_.backends.size(), 0);
   clients_.emplace(id, std::move(client));
 }
 
 void Replica_router::on_data(serve::Connection_id id,
                              std::string_view chunk) {
-  reap_zombies();
-  const auto found = clients_.find(id);
-  if (found == clients_.end()) return;
-  const std::shared_ptr<Client> client = found->second;
-
-  if (client->discarding) {
-    const auto newline = chunk.find('\n');
-    if (newline == std::string_view::npos) return;
-    client->discarding = false;
-    chunk.remove_prefix(newline + 1);
+  if (const auto found = clients_.find(id); found != clients_.end()) {
+    if (shutdown_) return;  // the fleet is going down: no new ops
+    Client& client = *found->second;
+    client.framer.feed(
+        chunk, [&](std::string_view line) { return handle_line(client, line); },
+        [&] {
+          transport_.send(
+              id, serve::line_overflow_event(options_.max_line_bytes).dump());
+        });
+    return;
   }
-  client->inbuf.append(chunk);
-
-  std::size_t start = 0;
-  for (;;) {
-    const auto newline = client->inbuf.find('\n', start);
-    if (newline == std::string::npos) break;
-    const std::string_view line(client->inbuf.data() + start,
-                                newline - start);
-    start = newline + 1;
-    if (line.size() > options_.max_line_bytes) {
-      transport_.send(id, line_overflow(options_.max_line_bytes));
-      continue;
-    }
-    if (!handle_line(client, line)) return;
-  }
-  client->inbuf.erase(0, start);
-
-  if (client->inbuf.size() > options_.max_line_bytes) {
-    transport_.send(id, line_overflow(options_.max_line_bytes));
-    client->inbuf.clear();
-    client->inbuf.shrink_to_fit();
-    client->discarding = true;
+  if (const auto found = links_.find(id); found != links_.end()) {
+    Link& link = found->second;
+    link.framer.feed(
+        chunk,
+        [&](std::string_view line) {
+          handle_backend_line(id, link, line);
+          return true;
+        },
+        [] {});
   }
 }
 
 void Replica_router::on_close(serve::Connection_id id) {
   const auto found = clients_.find(id);
-  if (found == clients_.end()) return;
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : found->second->links) retire_locked(slot, doomed);
+  if (found == clients_.end()) {
+    link_down(id);
+    return;
   }
-  join_links(doomed);
+  for (const serve::Connection_id link : found->second->links) {
+    if (link == 0) continue;
+    Link& state = links_.at(link);
+    if (state.shutdown_member) {
+      // Still owes the shutdown its answer: keep it, swallowing events.
+      state.client = nullptr;
+      continue;
+    }
+    links_.erase(link);
+    transport_.close(link);
+  }
+  if (shutdown_ && shutdown_->client == id) shutdown_->client = 0;
   clients_.erase(found);
-  reap_zombies();
 }
 
-bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
-                                 std::string_view line) {
+bool Replica_router::handle_line(Client& client, std::string_view line) {
   io::Json doc;
   std::string op;
   try {
     doc = io::Json::parse(line);
     op = doc.at("op").as_string();
   } catch (const std::exception& error) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event(error.what(), {}, "parse").dump());
     return true;
   }
 
   if (op == "register") {
     handle_register(client, doc, line);
-    return true;
-  }
-
-  if (op == "optimize") {
-    std::string id;
-    if (const io::Json* field = doc.find("id");
-        field != nullptr && field->is_string()) {
-      id = field->as_string();
-    }
-    route_optimize(client, doc, id, line);
-    return true;
-  }
-
-  if (op == "optimize_batch") {
-    std::string id;
-    if (const io::Json* field = doc.find("id");
-        field != nullptr && field->is_string()) {
-      id = field->as_string();
-    }
-    const io::Json* requests = doc.find("requests");
-    if (requests == nullptr || !requests->is_array()) {
-      transport_.send(
-          client->id,
-          serve::error_event("optimize_batch needs a \"requests\" array", id,
-                             "parse")
-              .dump());
-      return true;
-    }
-    const auto& elements = requests->as_array();
-    if (elements.size() > serve::k_max_batch_requests) {
-      transport_.send(
-          client->id,
-          serve::error_event(
-              "optimize_batch exceeds " +
-                  std::to_string(serve::k_max_batch_requests) + " requests",
-              id, "parse")
-              .dump());
-      return true;
-    }
-    transport_.send(client->id,
-                    serve::batch_event(id, elements.size()).dump());
-    for (std::size_t index = 0; index < elements.size(); ++index) {
-      const io::Json& element = elements[index];
-      if (!element.is_object()) {
-        transport_.send(client->id,
-                        serve::error_event("batch element " +
-                                               std::to_string(index) +
-                                               " is not an object",
-                                           id, "parse")
-                            .dump());
-        continue;
-      }
-      std::string sub_id = id + "/" + std::to_string(index);
-      if (const io::Json* field = element.find("id");
-          field != nullptr && field->is_string()) {
-        sub_id = field->as_string();
-      }
-      io::Json forward_op;
-      forward_op.set("op", "optimize");
-      forward_op.set("id", sub_id);
-      for (const auto& [key, value] : element.as_object()) {
-        if (key == "op" || key == "id") continue;
-        forward_op.set(key, value);
-      }
-      route_optimize(client, forward_op, sub_id, forward_op.dump());
-    }
-    return true;
-  }
-
-  if (op == "cancel") {
+  } else if (op == "optimize") {
+    route_optimize(client, doc, string_field(doc, "id"), line);
+  } else if (op == "optimize_batch") {
+    handle_batch(client, doc, line);
+  } else if (op == "cancel") {
     std::string id;
     try {
       id = doc.at("id").as_string();
     } catch (const std::exception& error) {
-      transport_.send(client->id,
+      transport_.send(client.id,
                       serve::error_event(error.what(), {}, "parse").dump());
       return true;
     }
     handle_cancel(client, id, line);
-    return true;
-  }
-
-  if (op == "observe" || op == "refit") {
+  } else if (op == "observe" || op == "refit") {
     std::uint64_t print = 0;
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (!resolve_instance(client, doc, {}, print, lock)) return true;
-    fan_out_locked(client, map_.replicas(print, options_.replicas), line,
-                   {});
-    return true;
-  }
-
-  if (op == "stats") {
+    if (resolve_instance(client, doc, {}, print)) {
+      fan_out(client, map_.replicas(print, options_.replicas), line, {});
+    }
+  } else if (op == "stats") {
     handle_stats(client, line);
-    return true;
-  }
-
-  if (op == "shutdown") {
+  } else if (op == "shutdown") {
     return handle_shutdown(client, line);
+  } else {
+    transport_.send(
+        client.id,
+        serve::error_event("unknown op \"" + op + "\"", {}, "parse").dump());
   }
-
-  transport_.send(
-      client->id,
-      serve::error_event("unknown op \"" + op + "\"", {}, "parse").dump());
   return true;
 }
 
-void Replica_router::handle_register(const std::shared_ptr<Client>& client,
-                                     const io::Json& doc,
+void Replica_router::handle_register(Client& client, const io::Json& doc,
                                      std::string_view line) {
   std::string name;
   std::uint64_t print = 0;
@@ -268,27 +186,52 @@ void Replica_router::handle_register(const std::shared_ptr<Client>& client,
     name = doc.at("name").as_string();
     print = document_fingerprint(doc.at("instance"));
   } catch (const std::exception& error) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event(error.what(), {}, "parse").dump());
     return;
   }
   // Journal before forwarding: even a register that sheds (whole owner
   // set down) is replayable the moment an owner comes back.
   journal_.record(print, name, std::string(line));
-  std::lock_guard<std::mutex> lock(mutex_);
   names_[name] = print;
-  fan_out_locked(client, map_.replicas(print, options_.replicas), line, {});
+  fan_out(client, map_.replicas(print, options_.replicas), line, {});
 }
 
-bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
-                                      const io::Json& doc,
+void Replica_router::handle_batch(Client& client, const io::Json& doc,
+                                  std::string_view line) {
+  serve::Batch_op batch;
+  try {
+    batch = std::get<serve::Batch_op>(serve::parse_op(line));
+  } catch (const std::exception& error) {
+    transport_.send(client.id, serve::error_event(error.what(),
+                                                  string_field(doc, "id"),
+                                                  "parse")
+                                   .dump());
+    return;
+  }
+  transport_.send(client.id,
+                  serve::batch_event(batch.id, batch.requests.size()).dump());
+  const io::Json::Array& elements = doc.at("requests").as_array();
+  for (std::size_t index = 0; index < elements.size(); ++index) {
+    const std::string& sub_id = batch.requests[index].id;
+    io::Json forward_op;
+    forward_op.set("op", "optimize");
+    forward_op.set("id", sub_id);
+    for (const auto& [key, value] : elements[index].as_object()) {
+      if (key == "op" || key == "id") continue;
+      forward_op.set(key, value);
+    }
+    route_optimize(client, forward_op, sub_id, forward_op.dump());
+  }
+}
+
+bool Replica_router::resolve_instance(Client& client, const io::Json& doc,
                                       const std::string& id,
-                                      std::uint64_t& print,
-                                      std::unique_lock<std::mutex>& lock) {
+                                      std::uint64_t& print) {
   const io::Json* instance = doc.find("instance");
   if (instance == nullptr) {
     transport_.send(
-        client->id,
+        client.id,
         serve::error_event("op needs an \"instance\"", id, "parse").dump());
     return false;
   }
@@ -296,18 +239,16 @@ bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
     try {
       print = document_fingerprint(*instance);
     } catch (const std::exception& error) {
-      transport_.send(client->id,
+      transport_.send(client.id,
                       serve::error_event(error.what(), id, "parse").dump());
       return false;
     }
-    lock.lock();
     return true;
   }
-  lock.lock();
   const auto found = names_.find(instance->as_string());
   if (found == names_.end()) {
     transport_.send(
-        client->id,
+        client.id,
         serve::unknown_instance_event(instance->as_string(), id).dump());
     return false;
   }
@@ -315,16 +256,14 @@ bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
   return true;
 }
 
-void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
-                                    const io::Json& doc,
+void Replica_router::route_optimize(Client& client, const io::Json& doc,
                                     const std::string& id,
                                     std::string_view line) {
   std::uint64_t print = 0;
-  std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-  if (!resolve_instance(client, doc, id, print, lock)) return;
+  if (!resolve_instance(client, doc, id, print)) return;
   std::vector<std::size_t> owners = map_.replicas(print, options_.replicas);
   for (std::size_t index = 0; index < owners.size(); ++index) {
-    if (!send_locked(client, owners[index], line)) continue;
+    if (!send_to(client, owners[index], line)) continue;
     if (!id.empty()) {
       Route route;
       route.fingerprint = print;
@@ -332,7 +271,7 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
       route.owner_index = index;
       route.hops = index > 0 ? 1 : 0;
       route.line = std::string(line);
-      client->routes[id] = std::move(route);
+      client.routes[id] = std::move(route);
     }
     if (index > 0) {
       replica_failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -342,183 +281,138 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
   shed(client, id, owners.front());
 }
 
-void Replica_router::handle_cancel(const std::shared_ptr<Client>& client,
-                                   const std::string& id,
+void Replica_router::handle_cancel(Client& client, const std::string& id,
                                    std::string_view line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto route = client->routes.find(id);
-  if (route == client->routes.end()) {
-    transport_.send(client->id, serve::cancel_event(id, false).dump());
+  const auto route = client.routes.find(id);
+  if (route == client.routes.end()) {
+    transport_.send(client.id, serve::cancel_event(id, false).dump());
     return;
   }
   const std::size_t shard = route->second.owners[route->second.owner_index];
-  client->routes.erase(route);
-  if (!send_locked(client, shard, line)) shed(client, id, shard);
+  client.routes.erase(route);
+  if (!send_to(client, shard, line)) shed(client, id, shard);
 }
 
-void Replica_router::fan_out_locked(const std::shared_ptr<Client>& client,
-                                    const std::vector<std::size_t>& owners,
-                                    std::string_view line,
-                                    const std::string& id) {
+void Replica_router::fan_out(Client& client,
+                             const std::vector<std::size_t>& owners,
+                             std::string_view line, const std::string& id) {
   // The first reachable owner carries the client-visible ack; every
   // other owner gets the line best-effort over its replication feed.
   std::size_t acked = owners.size();
   for (std::size_t index = 0; index < owners.size(); ++index) {
-    if (send_locked(client, owners[index], line)) {
+    if (send_to(client, owners[index], line)) {
       acked = index;
       break;
     }
   }
   for (std::size_t index = 0; index < owners.size(); ++index) {
     if (index == acked) continue;
-    if (!feed_send_locked(owners[index], line)) {
+    if (!send_on(open_link(feeds_[owners[index]], owners[index], nullptr),
+                 line)) {
       replica_lag_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (acked == owners.size()) shed(client, id, owners.front());
 }
 
-void Replica_router::handle_stats(const std::shared_ptr<Client>& client,
-                                  std::string_view line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::shared_ptr<Link>> members;
+void Replica_router::handle_stats(Client& client, std::string_view line) {
+  if (client.merge_pending > 0) {
+    transport_.send(
+        client.id,
+        serve::error_event("a stats merge is already in flight; retry", {})
+            .dump());
+    return;
+  }
+  std::vector<serve::Connection_id> members;
   for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
-    if (auto link = link_locked(client, shard)) members.push_back(link);
+    if (const auto link = open_link(client.links[shard], shard, &client)) {
+      members.push_back(link);
+    }
   }
   if (members.empty()) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event("all backend shards are unreachable",
                                        {}, "overloaded")
                         .dump());
     return;
   }
-  if (client->merge_pending > 0) {
-    transport_.send(
-        client->id,
-        serve::error_event("a stats merge is already in flight; retry", {})
-            .dump());
-    return;
-  }
-  client->merge_pending = members.size();
-  client->merge_events.clear();
-  for (const auto& member : members) member->merge_member = true;
-  for (const auto& member : members) {
-    if (!send_backend_line(member->fd, line)) {
-      // The reader's EOF path retires this link's share of the merge.
-      ::shutdown(member->fd, SHUT_RDWR);
-    }
-  }
+  client.merge_pending = members.size();
+  client.merge_events.clear();
+  for (const auto member : members) links_.at(member).merge_member = true;
+  // A failed member's close settles its share of the merge.
+  for (const auto member : members) send_on(member, line);
 }
 
-bool Replica_router::handle_shutdown(const std::shared_ptr<Client>& client,
-                                     std::string_view line) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    client->closing = true;
-    for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
-      const auto link = link_locked(client, shard);
-      if (link == nullptr) continue;
-      if (!send_backend_line(link->fd, line)) {
-        ::shutdown(link->fd, SHUT_RDWR);
-      }
-    }
+bool Replica_router::handle_shutdown(Client& client, std::string_view line) {
+  bool drain = false;
+  try {
+    drain = std::get<serve::Shutdown_op>(serve::parse_op(line)).drain;
+  } catch (const std::exception& error) {
+    transport_.send(client.id,
+                    serve::error_event(error.what(), {}, "parse").dump());
+    return true;
   }
-  // Join this client's readers so the per-backend shutdown events are
-  // folded before the merged pair goes out.
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : client->links) retire_locked(slot, doomed);
+  shutdown_.emplace();
+  shutdown_->client = client.id;
+  shutdown_->drain = drain;
+  for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
+    const serve::Connection_id link =
+        open_link(client.links[shard], shard, &client);
+    if (!send_on(link, line)) continue;
+    links_.at(link).shutdown_member = true;
+    ++shutdown_->pending;
   }
-  join_links(doomed);
-
-  double outstanding = 0;
-  double completed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    outstanding = client->shutdown_outstanding;
-    completed = client->shutdown_completed;
-  }
-  io::Json down;
-  down.set("event", "shutting-down");
-  down.set("outstanding", outstanding);
-  transport_.send(client->id, down.dump());
-  io::Json done;
-  done.set("event", "shutdown-complete");
-  done.set("completed", completed);
-  transport_.send(client->id, done.dump());
-
-  shutdown_requested_ = true;
-  transport_.stop();
+  if (shutdown_->pending == 0) finish_shutdown();
   return false;
 }
 
-std::shared_ptr<Replica_router::Link> Replica_router::link_locked(
-    const std::shared_ptr<Client>& client, std::size_t shard) {
-  auto& slot = client->links[shard];
-  if (slot != nullptr && !slot->down.load(std::memory_order_acquire)) {
-    return slot;
+serve::Connection_id Replica_router::open_link(serve::Connection_id& slot,
+                                               std::size_t shard,
+                                               Client* client) {
+  if (slot != 0) {
+    // A closing link stays in its slot until its close comes back, so
+    // the client's teardown still finds it; its shard is dead meanwhile.
+    return links_.at(slot).closing ? 0 : slot;
   }
-  if (slot != nullptr) park_locked(std::move(slot));
   if (!health_.alive(shard)) {
     health_.expedite(shard);
-    return nullptr;
+    return 0;
   }
-  const int fd = dial_backend(options_.backends[shard]);
-  if (fd < 0) {
+  const auto link = transport_.connect(options_.backends[shard]);
+  if (!link) {
     health_.mark_dead(shard);
-    return nullptr;
+    return 0;
   }
-  auto link = std::make_shared<Link>();
-  link->shard = shard;
-  link->fd = fd;
-  link->client = client;
-  link->reader = std::thread([this, link] { reader_loop(link); });
-  slot = link;
-  return link;
+  Link& state = links_[*link];
+  state.shard = shard;
+  state.client = client;
+  slot = *link;
+  return slot;
 }
 
-bool Replica_router::send_locked(const std::shared_ptr<Client>& client,
-                                 std::size_t shard, std::string_view line) {
-  const auto link = link_locked(client, shard);
-  if (link == nullptr) return false;
-  if (!send_backend_line(link->fd, line)) {
-    health_.mark_dead(shard);
-    ::shutdown(link->fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
+bool Replica_router::send_on(serve::Connection_id link,
+                             std::string_view line) {
+  if (link == 0) return false;
+  if (transport_.send(link, line)) return true;
+  fail_link(link);
+  return false;
 }
 
-bool Replica_router::feed_send_locked(std::size_t shard,
-                                      std::string_view line) {
-  auto& slot = feeds_[shard];
-  if (slot != nullptr && slot->down.load(std::memory_order_acquire)) {
-    park_locked(std::move(slot));
-  }
-  if (slot == nullptr) {
-    if (!health_.alive(shard)) return false;
-    const int fd = dial_backend(options_.backends[shard]);
-    if (fd < 0) {
-      health_.mark_dead(shard);
-      return false;
-    }
-    auto link = std::make_shared<Link>();
-    link->shard = shard;
-    link->fd = fd;
-    link->reader = std::thread([this, link] { reader_loop(link); });
-    slot = link;
-  }
-  if (!send_backend_line(slot->fd, line)) {
-    health_.mark_dead(shard);
-    ::shutdown(slot->fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
+bool Replica_router::send_to(Client& client, std::size_t shard,
+                             std::string_view line) {
+  return send_on(open_link(client.links[shard], shard, &client), line);
 }
 
-bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
-                                     Route& route, std::size_t avoiding) {
+void Replica_router::fail_link(serve::Connection_id link) {
+  Link& state = links_.at(link);
+  if (state.closing) return;
+  state.closing = true;
+  health_.mark_dead(state.shard);
+  transport_.close(link);
+}
+
+bool Replica_router::failover(Client& client, Route& route,
+                              std::size_t avoiding) {
   if (route.hops >= route.owners.size()) return false;
   const std::size_t count = route.owners.size();
   for (std::size_t step = 1; step <= count; ++step) {
@@ -526,7 +420,7 @@ bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
     const std::size_t shard = route.owners[index];
     if (shard == avoiding) continue;
     if (!health_.alive(shard)) continue;
-    if (!send_locked(client, shard, route.line)) continue;
+    if (!send_to(client, shard, route.line)) continue;
     route.owner_index = index;
     ++route.hops;
     replica_failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -535,10 +429,10 @@ bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
   return false;
 }
 
-void Replica_router::shed(const std::shared_ptr<Client>& client,
-                          const std::string& id, std::size_t shard) {
+void Replica_router::shed(Client& client, const std::string& id,
+                          std::size_t shard) {
   transport_.send(
-      client->id,
+      client.id,
       serve::error_event("backend shard " + std::to_string(shard) + " (" +
                              options_.backends[shard] +
                              ") and its replicas are unavailable; retry later",
@@ -546,49 +440,28 @@ void Replica_router::shed(const std::shared_ptr<Client>& client,
           .dump());
 }
 
-void Replica_router::reader_loop(std::shared_ptr<Link> link) {
-  std::string buffer;
-  char chunk[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(link->fd, chunk, sizeof chunk);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    if (link->client == nullptr) continue;  // replication feed: swallow
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (;;) {
-      const auto newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string_view line(buffer.data() + start, newline - start);
-      start = newline + 1;
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      handle_backend_line(link, line);
-    }
-    buffer.erase(0, start);
+void Replica_router::handle_backend_line(serve::Connection_id id,
+                                         Link& link, std::string_view line) {
+  if (link.shutdown_member && fold_shutdown_event(link, line)) return;
+  if (link.client == nullptr) {
+    // A feed or a departed client's link swallows its events; on a feed
+    // each one makes room for the next journal line of a replay.
+    replay_next(id, link);
+    return;
   }
-  link_down(link);
-}
-
-void Replica_router::handle_backend_line(const std::shared_ptr<Link>& link,
-                                         std::string_view line) {
+  if (intercept(id, link, line)) return;
   const std::string finished = result_event_id(line);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (intercept_locked(link, line)) return;
-    if (!finished.empty()) link->client->routes.erase(finished);
-  }
-  transport_.send(link->client->id, line);
+  if (!finished.empty()) link.client->routes.erase(finished);
+  transport_.send(link.client->id, line);
 }
 
-bool Replica_router::intercept_locked(const std::shared_ptr<Link>& link,
-                                      std::string_view line) {
-  const std::shared_ptr<Client>& client = link->client;
+bool Replica_router::intercept(serve::Connection_id id, Link& link,
+                               std::string_view line) {
+  Client& client = *link.client;
   const bool error_like = starts_with(line, "{\"event\":\"error\"");
   const bool registered_like = starts_with(line, "{\"event\":\"registered\"");
-  if (!link->merge_member && !client->closing && !error_like &&
-      !(registered_like && !link->repairs.empty())) {
+  if (!link.merge_member && !error_like &&
+      !(registered_like && !link.repairs.empty())) {
     return false;
   }
 
@@ -598,166 +471,154 @@ bool Replica_router::intercept_locked(const std::shared_ptr<Link>& link,
   } catch (const std::exception&) {
     return false;  // unparseable backend line: forward verbatim
   }
-  const io::Json* tag = event.find("event");
-  const std::string kind =
-      tag != nullptr && tag->is_string() ? tag->as_string() : "";
+  const std::string kind = string_field(event, "event");
 
-  if (link->merge_member && kind == "stats") {
-    link->merge_member = false;
-    client->merge_events.push_back(std::move(event));
-    if (client->merge_events.size() >= client->merge_pending) {
-      finish_merge_locked(*client);
+  if (link.merge_member && kind == "stats") {
+    link.merge_member = false;
+    client.merge_events.push_back(std::move(event));
+    if (client.merge_events.size() >= client.merge_pending) {
+      finish_merge(client);
     }
     return true;
   }
 
-  if (client->closing &&
-      (kind == "shutting-down" || kind == "shutdown-complete")) {
-    const char* field =
-        kind == "shutting-down" ? "outstanding" : "completed";
-    double count = 0;
-    if (const io::Json* value = event.find(field);
-        value != nullptr && value->is_number()) {
-      count = value->as_number();
-    }
-    (kind == "shutting-down" ? client->shutdown_outstanding
-                             : client->shutdown_completed) += count;
-    return true;
-  }
-
-  if (kind == "registered" && !link->repairs.empty()) {
+  if (kind == "registered" && !link.repairs.empty()) {
     // Possibly the ack of a journal replay this router sent itself; the
     // client never asked, so it must not see it.
-    const io::Json* print_field = event.find("fingerprint");
     std::uint64_t print = 0;
-    if (print_field != nullptr && print_field->is_string() &&
-        store::parse_hex64(print_field->as_string(), print)) {
-      const auto repair = link->repairs.find(print);
-      if (repair != link->repairs.end()) {
-        repairs_.fetch_add(1, std::memory_order_relaxed);
-        for (const std::string& queued : repair->second) {
-          if (!send_backend_line(link->fd, queued)) {
-            // Link died mid-repair; link_down will fail the queued ops
-            // over via their routes.
-            health_.mark_dead(link->shard);
-            ::shutdown(link->fd, SHUT_RDWR);
-            break;
-          }
-        }
-        link->repairs.erase(repair);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  if (kind == "error") {
-    const io::Json* code_field = event.find("code");
-    const io::Json* id_field = event.find("id");
-    const std::string code = code_field != nullptr && code_field->is_string()
-                                 ? code_field->as_string()
-                                 : "";
-    const std::string id = id_field != nullptr && id_field->is_string()
-                               ? id_field->as_string()
-                               : "";
-    if (id.empty()) return false;
-    const auto found = client->routes.find(id);
-    if (found == client->routes.end() ||
-        found->second.owners[found->second.owner_index] != link->shard) {
+    if (!store::parse_hex64(string_field(event, "fingerprint"), print)) {
       return false;
     }
-    Route& route = found->second;
-
-    if (code == "overloaded") {
-      // The owning backend shed the request; another replica may have
-      // room (and the same warm cache) — move it there silently.
-      if (failover_locked(client, route, link->shard)) return true;
-      client->routes.erase(found);
-      return false;  // no replica left: the client sees the shed
+    const auto repair = link.repairs.find(print);
+    if (repair == link.repairs.end()) return false;
+    repairs_.fetch_add(1, std::memory_order_relaxed);
+    for (const std::string& queued : repair->second) {
+      // On failure the link's close fails the queued ops over.
+      if (!send_on(id, queued)) break;
     }
+    link.repairs.erase(repair);
+    return true;
+  }
 
-    if (code == "unknown-instance") {
-      // A failover target (or freshly rejoined backend) is missing state
-      // it owns: replay the journaled register on this same connection,
-      // then re-send the op once the ack comes back — same link, so the
-      // backend observes register-then-optimize in order.
-      const std::string register_line = journal_.line_for(route.fingerprint);
-      if (register_line.empty()) {
-        client->routes.erase(found);
-        return false;  // nothing journaled: the client sees the error
-      }
-      link->repairs[route.fingerprint].push_back(route.line);
-      if (!send_backend_line(link->fd, register_line)) {
-        health_.mark_dead(link->shard);
-        ::shutdown(link->fd, SHUT_RDWR);
-      }
-      return true;
-    }
+  if (kind != "error") return false;
+  const std::string request_id = string_field(event, "id");
+  if (request_id.empty()) return false;
+  const auto found = client.routes.find(request_id);
+  if (found == client.routes.end() ||
+      found->second.owners[found->second.owner_index] != link.shard) {
     return false;
+  }
+  Route& route = found->second;
+  const std::string code = string_field(event, "code");
+
+  if (code == "overloaded") {
+    // The owning backend shed the request; another replica may have
+    // room (and the same warm cache) — move it there silently.
+    if (failover(client, route, link.shard)) return true;
+    client.routes.erase(found);
+    return false;  // no replica left: the client sees the shed
+  }
+
+  if (code == "unknown-instance") {
+    // A failover target (or freshly rejoined backend) is missing state
+    // it owns: replay the journaled register on this same connection,
+    // then re-send the op once the ack comes back — same link, so the
+    // backend observes register-then-optimize in order.
+    const std::string register_line = journal_.line_for(route.fingerprint);
+    if (register_line.empty()) {
+      client.routes.erase(found);
+      return false;  // nothing journaled: the client sees the error
+    }
+    link.repairs[route.fingerprint].push_back(route.line);
+    send_on(id, register_line);
+    return true;
   }
   return false;
 }
 
-void Replica_router::link_down(const std::shared_ptr<Link>& link) {
-  if (link->down.exchange(true, std::memory_order_acq_rel)) return;
-  const std::shared_ptr<Client>& client = link->client;
-  const bool retired = link->retired.load(std::memory_order_acquire);
-  if (!retired) health_.mark_dead(link->shard);
-  if (client == nullptr) return;  // replication feed: nothing routed here
+bool Replica_router::fold_shutdown_event(Link& link, std::string_view line) {
+  const bool down = starts_with(line, "{\"event\":\"shutting-down\"");
+  if (!down && !starts_with(line, "{\"event\":\"shutdown-complete\"")) {
+    return false;
+  }
+  io::Json event;
+  try {
+    event = io::Json::parse(line);
+  } catch (const std::exception&) {
+    return false;
+  }
+  if (down) {
+    shutdown_->outstanding += number_field(event, "outstanding");
+    return true;
+  }
+  shutdown_->completed += number_field(event, "completed");
+  shutdown_->cancelled += number_field(event, "cancelled");
+  link.shutdown_member = false;
+  if (--shutdown_->pending == 0) finish_shutdown();
+  return true;
+}
 
+void Replica_router::link_down(serve::Connection_id id) {
+  const auto found = links_.find(id);
+  if (found == links_.end()) return;  // closed on purpose
+  Link link = std::move(found->second);
+  links_.erase(found);
+  if (feeds_[link.shard] == id) feeds_[link.shard] = 0;
+
+  if (shutdown_) {
+    // Backends close their links as they stop: nothing fails over.
+    if (link.client != nullptr) link.client->links[link.shard] = 0;
+    if (link.shutdown_member && --shutdown_->pending == 0) {
+      finish_shutdown();
+    }
+    return;
+  }
+  if (!link.closing) health_.mark_dead(link.shard);  // the backend left
+  if (link.client == nullptr) return;  // replication feed: nothing routed
+  Client& client = *link.client;
+  client.links[link.shard] = 0;
+
+  // Every id still routed at this shard fails over — this is the
+  // mid-flight path that keeps a kill -9 invisible to clients.
   std::vector<std::string> abandoned;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (client->links[link->shard] == link) {
-      // Do not join from our own reader thread: park for the loop
-      // thread's reaper.
-      park_locked(std::move(client->links[link->shard]));
+  for (auto route = client.routes.begin(); route != client.routes.end();) {
+    if (route->second.owners[route->second.owner_index] != link.shard) {
+      ++route;
+      continue;
     }
-    link->repairs.clear();
-    if (!retired) {
-      // Every id still routed at this shard fails over — this is the
-      // mid-flight path that keeps a kill -9 invisible to clients.
-      for (auto route = client->routes.begin();
-           route != client->routes.end();) {
-        if (route->second.owners[route->second.owner_index] != link->shard) {
-          ++route;
-          continue;
-        }
-        if (failover_locked(client, route->second, link->shard)) {
-          ++route;
-        } else {
-          abandoned.push_back(route->first);
-          route = client->routes.erase(route);
-        }
-      }
-    }
-    if (link->merge_member) {
-      link->merge_member = false;
-      if (client->merge_pending > 0) --client->merge_pending;
-      if (client->merge_pending == 0) {
-        client->merge_events.clear();
-        transport_.send(client->id,
-                        serve::error_event(
-                            "all backend shards dropped during stats merge",
-                            {}, "overloaded")
-                            .dump());
-      } else if (client->merge_events.size() >= client->merge_pending) {
-        finish_merge_locked(*client);
-      }
+    if (failover(client, route->second, link.shard)) {
+      ++route;
+    } else {
+      abandoned.push_back(route->first);
+      route = client.routes.erase(route);
     }
   }
-  for (const std::string& id : abandoned) {
+  for (const std::string& request_id : abandoned) {
     transport_.send(
-        client->id,
-        serve::error_event("backend shard " + std::to_string(link->shard) +
-                               " (" + options_.backends[link->shard] +
+        client.id,
+        serve::error_event("backend shard " + std::to_string(link.shard) +
+                               " (" + options_.backends[link.shard] +
                                ") dropped and no replica is live; retry later",
-                           id, "overloaded")
+                           request_id, "overloaded")
             .dump());
+  }
+
+  if (link.merge_member) {
+    if (client.merge_pending > 0) --client.merge_pending;
+    if (client.merge_pending == 0) {
+      client.merge_events.clear();
+      transport_.send(client.id,
+                      serve::error_event(
+                          "all backend shards dropped during stats merge",
+                          {}, "overloaded")
+                          .dump());
+    } else if (client.merge_events.size() >= client.merge_pending) {
+      finish_merge(client);
+    }
   }
 }
 
-void Replica_router::finish_merge_locked(Client& client) {
+void Replica_router::finish_merge(Client& client) {
   const io::Json merged = merge_stats_events(
       client.merge_events,
       {.shards = options_.backends.size(),
@@ -771,69 +632,54 @@ void Replica_router::finish_merge_locked(Client& client) {
   transport_.send(client.id, merged.dump());
 }
 
+void Replica_router::finish_shutdown() {
+  if (shutdown_->client != 0) {
+    io::Json down;
+    down.set("event", "shutting-down");
+    down.set("outstanding", shutdown_->outstanding);
+    down.set("drain", shutdown_->drain);
+    transport_.send(shutdown_->client, down.dump());
+    io::Json done;
+    done.set("event", "shutdown-complete");
+    done.set("completed", shutdown_->completed);
+    done.set("cancelled", shutdown_->cancelled);
+    transport_.send(shutdown_->client, done.dump());
+  }
+  shutdown_requested_ = true;
+  transport_.stop();
+}
+
 void Replica_router::heal_shard(std::size_t shard) {
   // A dead shard came back: replay every journaled registration it owns
-  // over its replication feed, ahead of any routed traffic. Runs on the
-  // probe thread.
-  const std::vector<Journal_entry> entries = journal_.entries();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Journal_entry& entry : entries) {
+  // over its replication feed.
+  std::deque<std::string> owned;
+  for (const Journal_entry& entry : journal_.entries()) {
     const std::vector<std::size_t> owners =
         map_.replicas(entry.fingerprint, options_.replicas);
-    if (std::find(owners.begin(), owners.end(), shard) == owners.end()) {
-      continue;
-    }
-    if (feed_send_locked(shard, entry.line)) {
-      repairs_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      replica_lag_.fetch_add(1, std::memory_order_relaxed);
-      break;  // the shard flapped again; the next dead->live retries
+    if (std::find(owners.begin(), owners.end(), shard) != owners.end()) {
+      owned.push_back(entry.line);
     }
   }
-}
-
-void Replica_router::park_locked(std::shared_ptr<Link> link) {
-  zombies_.push_back(std::move(link));
-}
-
-void Replica_router::reap_zombies() {
-  std::vector<std::shared_ptr<Link>> dead;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dead.swap(zombies_);
+  if (owned.empty()) return;
+  const serve::Connection_id feed = open_link(feeds_[shard], shard, nullptr);
+  if (feed == 0) {
+    replica_lag_.fetch_add(1, std::memory_order_relaxed);
+    return;  // the shard flapped again; the next dead->live retries
   }
-  join_links(dead);
+  Link& link = links_.at(feed);
+  link.replay = std::move(owned);
+  replay_next(feed, link);
 }
 
-void Replica_router::retire_locked(
-    std::shared_ptr<Link>& slot, std::vector<std::shared_ptr<Link>>& doomed) {
-  if (slot == nullptr) return;
-  slot->retired.store(true, std::memory_order_release);
-  doomed.push_back(std::move(slot));
-}
-
-void Replica_router::join_links(
-    const std::vector<std::shared_ptr<Link>>& links) {
-  for (const auto& link : links) ::shutdown(link->fd, SHUT_RDWR);
-  for (const auto& link : links) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
+void Replica_router::replay_next(serve::Connection_id feed, Link& link) {
+  if (link.replay.empty()) return;
+  if (!send_on(feed, link.replay.front())) {
+    replica_lag_.fetch_add(1, std::memory_order_relaxed);
+    link.replay.clear();  // the next dead->live retries
+    return;
   }
-}
-
-void Replica_router::teardown_all() {
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, client] : clients_) {
-      for (auto& slot : client->links) retire_locked(slot, doomed);
-    }
-    for (auto& slot : feeds_) retire_locked(slot, doomed);
-    for (auto& slot : zombies_) doomed.push_back(std::move(slot));
-    zombies_.clear();
-  }
-  join_links(doomed);
-  clients_.clear();
+  link.replay.pop_front();
+  repairs_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace quest::cluster

@@ -20,14 +20,30 @@
 //    silent RST.
 //  * stop() finishes with a bounded flush pass so events emitted just
 //    before shutdown ("shutdown-complete") still reach their clients.
+//  * Outbound links: connect("host:port") dials a peer and puts the
+//    socket on the same loop, where its bytes arrive through on_data
+//    and its end through on_close like an accepted connection's (there
+//    is no on_open: the caller holds the id). Links do not count
+//    against `max_connections` and their reads are never paused — a
+//    proxy that stops reading a backend which is blocked writing to it
+//    deadlocks the pair. Instead a send() that would push a link's
+//    buffer past `write_buffer_cap` fails, and close() on a link drops
+//    whatever it still buffers: a peer that stopped reading is dead to
+//    its caller, who decides what its pending work becomes.
+//  * post(task) runs a task on the loop thread (through the same wake
+//    pipe as send), so other threads hand work to loop-owned state
+//    without a lock of their own.
 //
-// Thread contract: identical to Transport (run()/handlers on the loop
-// thread, send()/close()/stop()/stats() from anywhere).
+// Thread contract: as Transport (run()/handlers on the loop thread,
+// send()/close()/stop()/stats()/post() from anywhere); connect() is
+// loop-thread only — from a handler or a posted task.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "quest/serve/transport.hpp"
@@ -44,7 +60,8 @@ struct Tcp_options {
   /// typed "overloaded" error line.
   std::size_t max_connections = 1024;
   /// Backpressure threshold: stop reading a connection whose outbound
-  /// buffer exceeds this many bytes; resume below half of it.
+  /// buffer exceeds this many bytes; resume below half of it. On an
+  /// outbound link, a send() that would pass it fails instead.
   std::size_t write_buffer_cap = 1 << 20;
   /// Bytes per read() call.
   std::size_t read_chunk = 64 * 1024;
@@ -57,8 +74,9 @@ struct Tcp_options {
   double flush_timeout_seconds = 5.0;
 };
 
-/// Loop-lifetime counters, for tests and the load harness. Monotonic
-/// except `connections` (currently open).
+/// Loop-lifetime counters of accepted connections (outbound links are
+/// not counted), for tests and the load harness. Monotonic except
+/// `connections` (currently open).
 struct Tcp_stats {
   std::uint64_t accepted = 0;
   std::uint64_t refused = 0;
@@ -72,6 +90,12 @@ struct Tcp_stats {
   std::size_t max_connections_seen = 0;
 };
 
+/// Blocking TCP connect to "host:port" with TCP_NODELAY set; -1 when the
+/// address is malformed or the peer unreachable. The one dial path:
+/// Tcp_transport::connect and the cluster health prober both use it.
+int dial_tcp(const std::string& address) noexcept;
+
+/// The epoll transport described in the file comment.
 class Tcp_transport final : public Transport {
  public:
   /// Binds and listens immediately; throws quest::Error when the
@@ -89,6 +113,15 @@ class Tcp_transport final : public Transport {
   void stop() override;
   bool send(Connection_id connection, std::string_view line) override;
   void close(Connection_id connection) override;
+
+  /// Dials "host:port" (dial_tcp) and adds the socket to the loop as an
+  /// outbound link; nullopt when the dial fails or stop() was seen.
+  /// Loop thread only.
+  std::optional<Connection_id> connect(const std::string& address);
+
+  /// Runs `task` on the loop thread, after the current batch of events.
+  /// Tasks posted once run() has returned never run. Thread-safe.
+  void post(std::function<void()> task);
 
   Tcp_stats stats() const;
 

@@ -23,7 +23,11 @@
 //    one event per output line, flushed immediately.
 //  * Tcp_transport (tcp_transport.hpp) — an epoll/poll event loop
 //    multiplexing many non-blocking sockets with per-connection buffers
-//    and write-side backpressure.
+//    and write-side backpressure. It also dials outbound links
+//    (connect) onto the same loop — their reads are never paused; a
+//    send past the buffer cap fails instead — and runs tasks posted from
+//    other threads (post) on the loop thread: the replica router lives
+//    entirely on it.
 
 #pragma once
 

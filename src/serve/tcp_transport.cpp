@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -11,6 +12,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -123,6 +126,38 @@ class Poller {
 
 }  // namespace
 
+int dial_tcp(const std::string& address) noexcept {
+  const auto colon = address.rfind(':');
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 == address.size()) {
+    return -1;
+  }
+  const std::string host = address.substr(0, colon);
+  const std::string port = address.substr(colon + 1);
+
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &results) != 0) {
+    return -1;
+  }
+  int fd = -1;
+  for (addrinfo* entry = results; entry != nullptr; entry = entry->ai_next) {
+    fd = ::socket(entry->ai_family, entry->ai_socktype, entry->ai_protocol);
+    if (fd < 0) continue;
+    if (::connect(fd, entry->ai_addr, entry->ai_addrlen) == 0) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      break;
+    }
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(results);
+  return fd;
+}
+
 struct Tcp_transport::Impl {
   /// One connection. The loop thread owns fd/interest state; `outbound`
   /// and the close/dirty flags are shared with sender threads under
@@ -137,6 +172,9 @@ struct Tcp_transport::Impl {
     bool want_write = false;  // loop-side: EPOLLOUT armed
     bool paused = false;      // loop-side: reads off (backpressure)
     bool closing = false;     // flush remaining bytes, then close
+    /// Dialed by connect(): outside max_connections, never paused; a
+    /// send past the cap fails and close() drops what is buffered.
+    bool link = false;
 
     std::size_t pending_bytes() const { return outbound.size() - out_offset; }
   };
@@ -195,13 +233,16 @@ struct Tcp_transport::Impl {
     ::close(wake_write);
   }
 
+  /// Wakes the loop from another thread. The loop thread itself never
+  /// needs it: it flushes and runs posted tasks before it waits again.
   void wake() {
+    if (running_loop == this) return;
     const char byte = 'w';
     // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
     [[maybe_unused]] const auto ignored = ::write(wake_write, &byte, 1);
   }
 
-  // ---- sender-thread entry points -------------------------------------
+  // ---- any-thread entry points ----------------------------------------
 
   bool send(Connection_id id, std::string_view line) {
     {
@@ -209,6 +250,14 @@ struct Tcp_transport::Impl {
       const auto entry = by_id.find(id);
       if (entry == by_id.end() || entry->second->closing) return false;
       Conn& conn = *entry->second;
+      // A link's cap counts only what its peer has not taken: hand the
+      // socket what it accepts now before refusing.
+      if (conn.link && conn.pending_bytes() > 0 &&
+          conn.pending_bytes() + line.size() + 1 > options.write_buffer_cap &&
+          (!write_locked(conn) || conn.pending_bytes() + line.size() + 1 >
+                                      options.write_buffer_cap)) {
+        return false;
+      }
       conn.outbound.append(line);
       conn.outbound.push_back('\n');
       dirty.push_back(id);
@@ -222,7 +271,12 @@ struct Tcp_transport::Impl {
       std::lock_guard<std::mutex> lock(mutex);
       const auto entry = by_id.find(id);
       if (entry == by_id.end()) return;
-      entry->second->closing = true;
+      Conn& conn = *entry->second;
+      conn.closing = true;
+      if (conn.link) {
+        conn.outbound.clear();
+        conn.out_offset = 0;
+      }
       dirty.push_back(id);
     }
     wake();
@@ -233,10 +287,29 @@ struct Tcp_transport::Impl {
     wake();
   }
 
+  void post(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      posted.push_back(std::move(task));
+    }
+    wake();
+  }
+
   // ---- loop thread ----------------------------------------------------
 
+  std::optional<Connection_id> connect(const std::string& address) {
+    if (winding_down) return std::nullopt;
+    const int fd = dial_tcp(address);
+    if (fd < 0) return std::nullopt;
+    set_nonblocking(fd);
+    auto conn = std::make_unique<Conn>();
+    conn->fd = fd;
+    conn->link = true;
+    return register_conn(std::move(conn));
+  }
+
   void run(const Handlers& handlers) {
-    Poller poller;
+    running_loop = this;
     poller.add(listen_fd, /*read=*/true, /*write=*/false);
     poller.add(wake_read, /*read=*/true, /*write=*/false);
 
@@ -247,7 +320,14 @@ struct Tcp_transport::Impl {
 
     for (;;) {
       ready.clear();
-      poller.wait(ready, stopping ? 50 : -1);
+      // Work queued by the loop thread itself (which skips the wake
+      // pipe) must not wait for the next event.
+      bool backlog = false;
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        backlog = !posted.empty() || !dirty.empty();
+      }
+      poller.wait(ready, backlog ? 0 : stopping ? 50 : -1);
 
       for (const Poller::Ready& event : ready) {
         if (event.fd == wake_read) {
@@ -257,25 +337,26 @@ struct Tcp_transport::Impl {
           continue;
         }
         if (event.fd == listen_fd) {
-          if (!stopping) accept_all(poller, handlers);
+          if (!stopping) accept_all(handlers);
           continue;
         }
         const auto entry = by_fd.find(event.fd);
         if (entry == by_fd.end()) continue;  // closed earlier this batch
         Conn* conn = entry->second.get();
         if (event.error) {
-          close_conn(poller, conn, handlers);
+          close_conn(conn, handlers);
           continue;
         }
         if (event.writable) {
-          if (!flush_conn(poller, conn, handlers)) continue;  // conn gone
+          if (!flush_conn(conn, handlers)) continue;  // conn gone
         }
         if (event.readable && !stopping) {
-          if (!read_conn(poller, conn, scratch, handlers)) continue;
+          if (!read_conn(conn, scratch, handlers)) continue;
         }
       }
 
-      process_dirty(poller, handlers);
+      run_posted();
+      process_dirty(handlers);
 
       if (stop_requested.load(std::memory_order_acquire) && !stopping) {
         // Graceful wind-down: no more accepts or reads, but give the
@@ -314,20 +395,37 @@ struct Tcp_transport::Impl {
     }
 
     // Teardown on the loop thread: every surviving connection gets its
-    // on_close so the session layer can release per-connection state.
-    while (!by_fd.empty()) {
-      close_conn(Poller_ref{}, by_fd.begin()->second.get(), handlers);
-    }
+    // on_close so the layer above can release per-connection state.
+    while (!by_fd.empty()) close_conn(by_fd.begin()->second.get(), handlers);
+    running_loop = nullptr;
   }
 
-  void accept_all(Poller& poller, const Handlers& handlers) {
+  Connection_id register_conn(std::unique_ptr<Conn> conn) {
+    Conn* raw = conn.get();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      raw->id = next_id++;
+      by_id.emplace(raw->id, raw);
+      if (!raw->link) {
+        ++counters.accepted;
+        ++counters.connections;
+        counters.max_connections_seen =
+            std::max(counters.max_connections_seen, counters.connections);
+      }
+    }
+    poller.add(raw->fd, /*read=*/true, /*write=*/false);
+    by_fd.emplace(raw->fd, std::move(conn));
+    return raw->id;
+  }
+
+  void accept_all(const Handlers& handlers) {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;  // EAGAIN or transient error: try next wait
       std::size_t open_now = 0;
       {
         std::lock_guard<std::mutex> lock(mutex);
-        open_now = by_id.size();
+        open_now = counters.connections;
       }
       if (open_now >= options.max_connections) {
         // Explicit refusal: one typed error line, then close. The
@@ -352,34 +450,24 @@ struct Tcp_transport::Impl {
       }
       auto conn = std::make_unique<Conn>();
       conn->fd = fd;
-      Conn* raw = conn.get();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        raw->id = next_id++;
-        by_id.emplace(raw->id, raw);
-        ++counters.accepted;
-        counters.max_connections_seen =
-            std::max(counters.max_connections_seen, by_id.size());
-      }
-      by_fd.emplace(fd, std::move(conn));
-      poller.add(fd, /*read=*/true, /*write=*/false);
-      if (handlers.on_open) handlers.on_open(raw->id);
+      const Connection_id id = register_conn(std::move(conn));
+      if (handlers.on_open) handlers.on_open(id);
     }
   }
 
-  bool read_conn(Poller& poller, Conn* conn, std::vector<char>& scratch,
+  bool read_conn(Conn* conn, std::vector<char>& scratch,
                  const Handlers& handlers) {
     if (conn->paused || conn->closing) return true;
     const ssize_t count = ::read(conn->fd, scratch.data(), scratch.size());
     if (count == 0) {
-      close_conn(poller, conn, handlers);
+      close_conn(conn, handlers);
       return false;
     }
     if (count < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         return true;
       }
-      close_conn(poller, conn, handlers);
+      close_conn(conn, handlers);
       return false;
     }
     {
@@ -396,48 +484,55 @@ struct Tcp_transport::Impl {
     return by_fd.count(conn->fd) != 0;
   }
 
+  /// Writes as much pending output as the socket accepts; false on a
+  /// fatal socket error. Caller holds `mutex`.
+  bool write_locked(Conn& conn) {
+    bool ok = true;
+    while (conn.pending_bytes() > 0) {
+      const ssize_t count =
+          ::send(conn.fd, conn.outbound.data() + conn.out_offset,
+                 conn.pending_bytes(), MSG_NOSIGNAL);
+      if (count < 0) {
+        ok = errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+        break;
+      }
+      conn.out_offset += static_cast<std::size_t>(count);
+      counters.bytes_out += static_cast<std::uint64_t>(count);
+    }
+    if (conn.out_offset == conn.outbound.size()) {
+      conn.outbound.clear();
+      conn.out_offset = 0;
+    } else if (conn.out_offset > (1u << 16)) {
+      conn.outbound.erase(0, conn.out_offset);
+      conn.out_offset = 0;
+    }
+    return ok;
+  }
+
   /// Writes as much pending output as the socket accepts. Returns false
   /// when the connection was closed (error, or a drained `closing`).
-  template <typename PollerT>
-  bool flush_conn(PollerT&& poller, Conn* conn, const Handlers& handlers) {
+  bool flush_conn(Conn* conn, const Handlers& handlers) {
     bool fatal = false;
     bool drained_close = false;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      while (conn->pending_bytes() > 0) {
-        const ssize_t count =
-            ::send(conn->fd, conn->outbound.data() + conn->out_offset,
-                   conn->pending_bytes(), MSG_NOSIGNAL);
-        if (count < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-          fatal = true;
-          break;
-        }
-        conn->out_offset += static_cast<std::size_t>(count);
-        counters.bytes_out += static_cast<std::uint64_t>(count);
-      }
-      if (conn->out_offset == conn->outbound.size()) {
-        conn->outbound.clear();
-        conn->out_offset = 0;
-      } else if (conn->out_offset > (1u << 16)) {
-        conn->outbound.erase(0, conn->out_offset);
-        conn->out_offset = 0;
-      }
+      fatal = !write_locked(*conn);
       drained_close = conn->closing && conn->pending_bytes() == 0;
     }
     if (fatal || drained_close) {
-      close_conn(poller, conn, handlers);
+      close_conn(conn, handlers);
       return false;
     }
-    update_interest(poller, conn);
+    update_interest(conn);
     return true;
   }
 
   /// Applies backpressure state and poller interest from the current
   /// buffer fill: pause reads above the cap, resume below half of it,
-  /// arm EPOLLOUT while anything is pending.
-  template <typename PollerT>
-  void update_interest(PollerT&& poller, Conn* conn) {
+  /// arm EPOLLOUT while anything is pending. Links are never paused: a
+  /// router that stops reading a backend which is blocked writing to
+  /// it deadlocks the pair.
+  void update_interest(Conn* conn) {
     std::size_t pending = 0;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -445,7 +540,7 @@ struct Tcp_transport::Impl {
     }
     const bool want_write = pending > 0;
     bool paused = conn->paused;
-    if (!paused && pending > options.write_buffer_cap) {
+    if (!paused && !conn->link && pending > options.write_buffer_cap) {
       paused = true;
       std::lock_guard<std::mutex> lock(mutex);
       ++counters.reads_paused;
@@ -461,7 +556,16 @@ struct Tcp_transport::Impl {
     }
   }
 
-  void process_dirty(Poller& poller, const Handlers& handlers) {
+  void run_posted() {
+    std::vector<std::function<void()>> tasks;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      tasks.swap(posted);
+    }
+    for (const auto& task : tasks) task();
+  }
+
+  void process_dirty(const Handlers& handlers) {
     std::vector<Connection_id> ids;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -475,33 +579,33 @@ struct Tcp_transport::Impl {
         if (entry == by_id.end()) continue;
         conn = entry->second;
       }
-      flush_conn(poller, conn, handlers);
+      flush_conn(conn, handlers);
     }
   }
 
-  /// Poller stand-in for teardown, where the real poller is gone and
-  /// only the fd bookkeeping matters.
-  struct Poller_ref {
-    void update(int, bool, bool) {}
-    void remove(int) {}
-  };
-
-  template <typename PollerT>
-  void close_conn(PollerT&& poller, Conn* conn, const Handlers& handlers) {
+  void close_conn(Conn* conn, const Handlers& handlers) {
     const Connection_id id = conn->id;
     const int fd = conn->fd;
     poller.remove(fd);
-    ::close(fd);
     {
+      // Unlisted before the fd closes: send() may write to a link's fd.
       std::lock_guard<std::mutex> lock(mutex);
       by_id.erase(id);
-      ++counters.closed;
+      if (!conn->link) {
+        --counters.connections;
+        ++counters.closed;
+      }
     }
+    ::close(fd);
     by_fd.erase(fd);  // destroys conn
     if (handlers.on_close) handlers.on_close(id);
   }
 
+  /// The Impl whose run() this thread is inside, if any.
+  static inline thread_local const Impl* running_loop = nullptr;
+
   Tcp_options options;
+  Poller poller;
   int listen_fd = -1;
   int wake_read = -1;
   int wake_write = -1;
@@ -514,6 +618,7 @@ struct Tcp_transport::Impl {
   std::mutex mutex;
   std::unordered_map<Connection_id, Conn*> by_id;
   std::vector<Connection_id> dirty;
+  std::vector<std::function<void()>> posted;
   Connection_id next_id = 1;
   Tcp_stats counters;
 
@@ -540,15 +645,22 @@ bool Tcp_transport::send(Connection_id connection, std::string_view line) {
   return impl_->send(connection, line);
 }
 
+std::optional<Connection_id> Tcp_transport::connect(
+    const std::string& address) {
+  return impl_->connect(address);
+}
+
+void Tcp_transport::post(std::function<void()> task) {
+  impl_->post(std::move(task));
+}
+
 void Tcp_transport::close(Connection_id connection) {
   impl_->request_close(connection);
 }
 
 Tcp_stats Tcp_transport::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  Tcp_stats snapshot = impl_->counters;
-  snapshot.connections = impl_->by_id.size();
-  return snapshot;
+  return impl_->counters;
 }
 
 }  // namespace quest::serve

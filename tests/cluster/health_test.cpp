@@ -1,6 +1,7 @@
 // Health_monitor: probe-driven dead/live verdicts against a real
 // loopback listener, immediate mark_dead reporting, and the dead->live
-// transition hook the replica router hangs journal repair on. Timing
+// transition hook the replica router hangs journal repair on (it posts
+// the repair to its loop). Timing
 // assertions are deadline-polls (no exact-interval checks), so a loaded
 // CI machine only makes the test slower, not flaky.
 
@@ -47,15 +48,15 @@ TEST(Health_monitor_test, ProbesSeparateLiveFromDead) {
   options.probe_interval = std::chrono::milliseconds(20);
   options.max_backoff = std::chrono::milliseconds(100);
 
-  Health_monitor monitor(options, nullptr, nullptr);
+  Health_monitor monitor(options, nullptr);
   // Optimistic start: everything is live until proven otherwise.
   EXPECT_TRUE(monitor.alive(0));
   EXPECT_TRUE(monitor.alive(1));
+  EXPECT_EQ(monitor.degraded_count(), 0u);
 
   monitor.start();
   EXPECT_TRUE(eventually([&] { return !monitor.alive(1); }));
   EXPECT_TRUE(monitor.alive(0));
-  EXPECT_EQ(monitor.live_count(), 1u);
   EXPECT_EQ(monitor.degraded_count(), 1u);
   monitor.stop();
 }
@@ -71,16 +72,13 @@ TEST(Health_monitor_test, MarkDeadIsImmediateAndProbesRevive) {
   options.max_backoff = std::chrono::milliseconds(100);
 
   std::atomic<int> revived{0};
-  std::atomic<int> downed{0};
-  Health_monitor monitor(
-      options, [&](std::size_t) { ++revived; },
-      [&](std::size_t) { ++downed; });
+  Health_monitor monitor(options, [&](std::size_t) { ++revived; });
   monitor.start();
 
   // A send failure reports death without waiting for a probe...
   monitor.mark_dead(0);
   EXPECT_FALSE(monitor.alive(0));
-  EXPECT_EQ(downed.load(), 1);
+  EXPECT_EQ(monitor.degraded_count(), 1u);
   // ...and the prober revives it (the listener is still there), firing
   // the dead->live hook the router repairs on.
   EXPECT_TRUE(eventually([&] { return monitor.alive(0); }));
@@ -99,7 +97,7 @@ TEST(Health_monitor_test, ExpediteProbesADeadShardWithinOneInterval) {
   options.backends = {"127.0.0.1:" + std::to_string(listener.port())};
   options.probe_interval = std::chrono::minutes(1);
   options.max_backoff = std::chrono::minutes(1);
-  Health_monitor monitor(options, nullptr, nullptr);
+  Health_monitor monitor(options, nullptr);
 
   monitor.expedite(0);  // live: no-op
   monitor.mark_dead(0);  // next scheduled probe a minute out
@@ -122,11 +120,12 @@ TEST(Health_monitor_test, ExpediteProbesADeadShardWithinOneInterval) {
 TEST(Health_monitor_test, OutOfRangeShardsAreIgnored) {
   Health_options options;
   options.backends = {"127.0.0.1:1"};
-  Health_monitor monitor(options, nullptr, nullptr);
+  Health_monitor monitor(options, nullptr);
   monitor.mark_dead(7);  // no crash, no state change
   monitor.expedite(7);
   EXPECT_FALSE(monitor.alive(7));
-  EXPECT_EQ(monitor.live_count(), 1u);
+  EXPECT_TRUE(monitor.alive(0));
+  EXPECT_EQ(monitor.degraded_count(), 0u);
 }
 
 }  // namespace

@@ -4,21 +4,20 @@
 // with colliding request ids, write-side backpressure (reads pause when
 // a client stops draining), load shedding at the admission queue and at
 // the connection limit (both as typed "overloaded" errors), oversized
-// and malformed lines, optimize_batch, and a clean network shutdown.
+// and malformed lines, optimize_batch, and a clean network shutdown —
+// plus the transport's outbound links and posted tasks, which the
+// replica router runs on.
 
 #include "quest/serve/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <netinet/in.h>
-#include <arpa/inet.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <algorithm>
+#include <atomic>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -30,169 +29,14 @@
 #include "quest/serve/server.hpp"
 #include "quest/serve/session.hpp"
 #include "support/helpers.hpp"
+#include "support/loopback.hpp"
 
 namespace quest {
 namespace {
 
 using namespace quest::serve;
-
-/// Blocking line-oriented test client over one loopback socket.
-class Client {
- public:
-  explicit Client(std::uint16_t port, int receive_buffer_bytes = 0) {
-    connect_to(port, receive_buffer_bytes);
-  }
-
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  void send_line(const std::string& line) { send_raw(line + "\n"); }
-
-  void send_raw(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t count =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(count, 0) << std::strerror(errno);
-      sent += static_cast<std::size_t>(count);
-    }
-  }
-
-  /// Reads one newline-terminated line; empty string on EOF/timeout
-  /// (with a test failure on timeout).
-  std::string read_line(double timeout_seconds = 30.0) {
-    Timer timer;
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      const double remaining = timeout_seconds - timer.seconds();
-      if (remaining <= 0.0) {
-        ADD_FAILURE() << "timed out reading a line";
-        return {};
-      }
-      pollfd waiter{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&waiter, 1, static_cast<int>(remaining * 1000) + 1);
-      if (ready <= 0) continue;
-      char chunk[4096];
-      const ssize_t count = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (count == 0) return {};  // EOF
-      if (count < 0) {
-        if (errno == EINTR) continue;
-        ADD_FAILURE() << "recv: " << std::strerror(errno);
-        return {};
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(count));
-    }
-  }
-
-  /// Reads events until one matches `event` kind (optionally a specific
-  /// request id); fails and returns null on timeout/EOF.
-  io::Json wait_event(const std::string& event, const std::string& id = {},
-                      double timeout_seconds = 30.0) {
-    Timer timer;
-    while (timer.seconds() < timeout_seconds) {
-      const std::string line =
-          read_line(timeout_seconds - timer.seconds());
-      if (line.empty()) break;
-      const io::Json parsed = io::Json::parse(line);
-      if (parsed.at("event").as_string() != event) continue;
-      if (!id.empty()) {
-        const io::Json* event_id = parsed.find("id");
-        if (event_id == nullptr || event_id->as_string() != id) continue;
-      }
-      return parsed;
-    }
-    ADD_FAILURE() << "no '" << event << "' event arrived";
-    return io::Json();
-  }
-
-  bool at_eof(double timeout_seconds = 10.0) {
-    Timer timer;
-    while (timer.seconds() < timeout_seconds) {
-      pollfd waiter{fd_, POLLIN, 0};
-      if (::poll(&waiter, 1, 100) <= 0) continue;
-      char chunk[4096];
-      const ssize_t count = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (count == 0) return true;
-      if (count < 0 && errno != EINTR) return true;
-      if (count > 0) buffer_.append(chunk, static_cast<std::size_t>(count));
-    }
-    return false;
-  }
-
- private:
-  // ASSERT macros return values and so cannot live in the constructor.
-  void connect_to(std::uint16_t port, int receive_buffer_bytes) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd_, 0) << std::strerror(errno);
-    if (receive_buffer_bytes > 0) {
-      // Before connect, so the advertised window is actually small —
-      // the backpressure test needs the kernel pipes to fill up.
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer_bytes,
-                   sizeof(receive_buffer_bytes));
-    }
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&address),
-                        sizeof(address)),
-              0)
-        << std::strerror(errno);
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-/// One full serving stack on an ephemeral loopback port, the transport
-/// loop on its own thread — what quest_serve --tcp-port 0 builds.
-class Stack {
- public:
-  explicit Stack(Server_options server_options = {},
-                 Tcp_options tcp_options = {},
-                 Session_options session_options = {})
-      : transport_(std::move(tcp_options)),
-        server_(server_options),
-        sessions_(server_, transport_, session_options),
-        loop_([this] { shutdown_served_ = sessions_.serve(); }) {}
-
-  ~Stack() { stop(); }
-
-  std::uint16_t port() const { return transport_.port(); }
-  Tcp_transport& transport() { return transport_; }
-  Server& server() { return server_; }
-
-  void stop() {
-    if (!loop_.joinable()) return;
-    transport_.stop();
-    loop_.join();
-    server_.shutdown();
-  }
-
-  /// Joins the loop without forcing a stop — for tests where a client's
-  /// shutdown op ends the serve.
-  bool wait_shutdown_served() {
-    if (loop_.joinable()) loop_.join();
-    return shutdown_served_;
-  }
-
- private:
-  Tcp_transport transport_;
-  Server server_;
-  Session_manager sessions_;
-  bool shutdown_served_ = false;
-  std::thread loop_;
-};
+using test::Client;
+using test::Stack;
 
 std::string register_line(const std::string& name, std::size_t n,
                           std::uint64_t seed) {
@@ -447,6 +291,97 @@ TEST(Tcp_transport_test, DisconnectCancelsThatClientsInFlightWork) {
   next.send_line(
       R"({"op":"optimize","id":"fresh","instance":"other","optimizer":"bnb"})");
   EXPECT_TRUE(next.wait_event("result", "fresh").is_object());
+}
+
+TEST(Tcp_transport_test, OutboundLinksRunOnTheLoopAndFailPastTheCap) {
+  Stack backend;
+  // Listens, but nothing ever accepts or reads: a stuck peer.
+  Tcp_transport stuck(Tcp_options{});
+  Tcp_options options;
+  options.write_buffer_cap = 4096;
+  Tcp_transport front(options);
+
+  std::mutex mutex;
+  std::thread::id loop_thread;
+  std::vector<std::string> received;
+  std::vector<Connection_id> closed;
+  Transport::Handlers handlers;
+  handlers.on_data = [&](Connection_id, std::string_view chunk) {
+    std::lock_guard<std::mutex> lock(mutex);
+    received.emplace_back(chunk);
+  };
+  handlers.on_close = [&](Connection_id id) {
+    std::lock_guard<std::mutex> lock(mutex);
+    closed.push_back(id);
+  };
+  std::thread loop([&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      loop_thread = std::this_thread::get_id();
+    }
+    front.run(handlers);
+  });
+  // Runs `task` on the loop and waits for it.
+  const auto on_loop = [&](auto task) {
+    std::promise<void> done;
+    front.post([&] {
+      task();
+      done.set_value();
+    });
+    ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  };
+
+  // A link to a live backend: its answers arrive through on_data, and
+  // it does not count as an accepted connection.
+  std::optional<Connection_id> link;
+  on_loop([&] {
+    EXPECT_EQ(std::this_thread::get_id(), loop_thread);
+    link = front.connect(backend.address());
+    ASSERT_TRUE(link.has_value());
+    EXPECT_TRUE(front.send(*link, R"({"op":"stats"})"));
+  });
+  EXPECT_TRUE(test::eventually(
+      [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        std::string all;
+        for (const std::string& chunk : received) all += chunk;
+        return all.find(R"("event":"stats")") != std::string::npos;
+      },
+      10.0));
+  EXPECT_EQ(front.stats().accepted, 0u);
+  EXPECT_EQ(front.stats().connections, 0u);
+
+  // A link to the stuck peer: once the kernel buffers are full, the
+  // transport buffers up to the cap and then refuses the send...
+  const std::string line(1000, 'x');
+  std::optional<Connection_id> jammed;
+  bool refused = false;
+  for (int round = 0; round < 200 && !refused; ++round) {
+    on_loop([&] {
+      if (!jammed) {
+        jammed = front.connect("127.0.0.1:" + std::to_string(stuck.port()));
+      }
+      ASSERT_TRUE(jammed.has_value());
+      for (int index = 0; index < 100 && !refused; ++index) {
+        refused = !front.send(*jammed, line);
+      }
+    });
+  }
+  EXPECT_TRUE(refused) << "a link to a peer that never reads took 20 MB";
+  // ...and close() drops what it still holds rather than waiting on a
+  // peer that will never drain it.
+  on_loop([&] { front.close(*jammed); });
+  EXPECT_TRUE(test::eventually(
+      [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        return std::find(closed.begin(), closed.end(), *jammed) !=
+               closed.end();
+      },
+      10.0));
+
+  front.stop();
+  loop.join();
 }
 
 TEST(Tcp_transport_test, ShutdownOpDrainsFinalEventsToTheClient) {
