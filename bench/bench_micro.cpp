@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths every experiment
 // leans on: full-plan cost evaluation, incremental append/pop, epsilon-bar
-// in both modes, the DP inner loop, RNG draws, and JSON round-trips.
+// in both modes, the DP inner loop, RNG draws, JSON round-trips, and the
+// serving codec (an inline-document optimize line in, a result event out).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "quest/io/instance_io.hpp"
 #include "quest/model/cost.hpp"
 #include "quest/opt/dp.hpp"
+#include "quest/serve/protocol.hpp"
 #include "quest/workload/generators.hpp"
 
 namespace {
@@ -173,6 +175,43 @@ void BM_json_round_trip(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_json_round_trip);
+
+/// The request side of an exact-tier cache hit on an inline document:
+/// one optimize line (n=13) decoded into an Optimize_op.
+void BM_parse_op_inline(benchmark::State& state) {
+  io::Json op;
+  op.set("op", "optimize");
+  op.set("id", "r1");
+  op.set("instance", io::to_json(bench_instance(13)));
+  op.set("optimizer", "portfolio");
+  io::Json budget;
+  budget.set("node_limit", 4000);
+  op.set("budget", std::move(budget));
+  op.set("seed", 1);
+  const std::string line = op.dump();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::parse_op(line));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_parse_op_inline);
+
+/// The answer side of an exact-tier cache hit: a cached result event
+/// (n=13) built and dumped.
+void BM_result_event_dump(benchmark::State& state) {
+  const auto instance = bench_instance(13);
+  const auto plan = model::Plan::identity(13);
+  const double cost = model::bottleneck_cost(instance, plan);
+  const std::string model_key = model::Cost_model{}.key();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::result_event("r1", opt::Termination::optimal, plan, cost,
+                            true, true, true, false, model_key, 0.0, nullptr)
+            .dump());
+  }
+}
+BENCHMARK(BM_result_event_dump);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "quest/common/error.hpp"
@@ -21,6 +22,13 @@ class Matrix {
   /// rows x cols matrix, every element initialized to `fill`.
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+  /// rows x cols matrix over `data`, row-major; takes ownership.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<T> data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {
+    QUEST_EXPECTS(data_.size() == rows * cols,
+                  "matrix data must hold rows * cols elements");
+  }
 
   /// Square convenience factory.
   static Matrix square(std::size_t n, T fill = T{}) {

@@ -37,8 +37,14 @@ Json to_json(const model::Instance& instance,
 
 /// Parses a document produced by to_json (or written by hand).
 /// Throws Parse_error on malformed documents (wrong matrix shape,
-/// negative costs, cyclic precedence, ...).
+/// negative costs, cyclic precedence, ...). Members may come in any
+/// order; unknown members are ignored, and of duplicates the first wins.
 Instance_document instance_from_json(const Json& json);
+
+/// Decodes the document at the reader's position straight from the text,
+/// without building a Json: the same decoder as instance_from_json, so
+/// the schema, its checks and its messages are defined once.
+Instance_document read_instance(Json_reader& in);
 
 /// Serializes a plan as a bare array of service ids.
 Json to_json(const model::Plan& plan);

@@ -1,11 +1,12 @@
 #include "quest/io/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 namespace quest::io {
 
@@ -15,232 +16,360 @@ namespace {
   throw Parse_error(std::string("JSON type mismatch: expected ") + expected);
 }
 
-/// Recursive-descent parser over a string_view with position tracking.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
-  Json parse_document() {
-    skip_whitespace();
-    Json value = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing content after JSON value");
-    return value;
-  }
+}  // namespace
 
- private:
-  static constexpr int max_depth = 128;
+void throw_missing_key(std::string_view key) {
+  throw Parse_error("JSON object is missing key '" + std::string(key) + "'");
+}
 
-  [[noreturn]] void fail(const std::string& message) const {
-    std::size_t line = 1;
-    std::size_t column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-    }
-    std::ostringstream out;
-    out << "JSON parse error at line " << line << ", column " << column
-        << ": " << message;
-    throw Parse_error(out.str());
-  }
+// ---------------------------------------------------------------------
+// Json_reader
 
-  bool eof() const noexcept { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  char next() {
-    if (eof()) fail("unexpected end of input");
-    return text_[pos_++];
-  }
-
-  void skip_whitespace() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r')) {
-      ++pos_;
+void Json_reader::fail(const std::string& message) const {
+  std::size_t line = 1;
+  std::size_t column = 1;
+  for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    if (text_[i] == '\n') {
+      ++line;
+      column = 1;
+    } else {
+      ++column;
     }
   }
+  std::ostringstream out;
+  out << "JSON parse error at line " << line << ", column " << column
+      << ": " << message;
+  throw Parse_error(out.str());
+}
 
-  void expect(char c) {
-    if (eof() || peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
+void Json_reader::mismatch(const char* expected) {
+  skip_value();
+  type_error(expected);
+}
+
+void Json_reader::skip_whitespace() noexcept {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
     ++pos_;
   }
+}
 
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) == literal) {
-      pos_ += literal.size();
-      return true;
+void Json_reader::expect(char c) {
+  if (pos_ >= text_.size() || text_[pos_] != c) {
+    fail(std::string("expected '") + c + "'");
+  }
+  ++pos_;
+}
+
+Json_reader::Kind Json_reader::peek() {
+  skip_whitespace();
+  if (depth_ > k_max_depth) fail("nesting too deep");
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  const auto literal = [this](std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
+  };
+  switch (text_[pos_]) {
+    case '{':
+      return Kind::object;
+    case '[':
+      return Kind::array;
+    case '"':
+      return Kind::string;
+    case 't':
+      literal("true");
+      return Kind::boolean;
+    case 'f':
+      literal("false");
+      return Kind::boolean;
+    case 'n':
+      literal("null");
+      return Kind::null;
+    default:
+      // scan_number() refuses whatever is not a number.
+      return Kind::number;
+  }
+}
+
+void Json_reader::begin_object() {
+  if (peek() != Kind::object) mismatch("object");
+  ++pos_;
+  ++depth_;
+  first_ = true;
+}
+
+bool Json_reader::next_key(std::string_view& key) {
+  skip_whitespace();
+  if (first_) {
+    first_ = false;
+    if (pos_ < text_.size() && text_[pos_] == '}') {
+      ++pos_;
+      --depth_;
+      return false;
     }
+  } else {
+    if (pos_ >= text_.size()) fail("unterminated object");
+    const char c = text_[pos_++];
+    if (c == '}') {
+      --depth_;
+      return false;
+    }
+    if (c != ',') fail("expected ',' or '}' in object");
+    skip_whitespace();
+  }
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    fail("expected object key string");
+  }
+  key = scan_string();
+  skip_whitespace();
+  expect(':');
+  return true;
+}
+
+void Json_reader::begin_array() {
+  if (peek() != Kind::array) mismatch("array");
+  ++pos_;
+  ++depth_;
+  first_ = true;
+}
+
+bool Json_reader::next_element() {
+  skip_whitespace();
+  if (first_) {
+    first_ = false;
+    if (pos_ < text_.size() && text_[pos_] == ']') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+    return true;
+  }
+  if (pos_ >= text_.size()) fail("unterminated array");
+  const char c = text_[pos_++];
+  if (c == ']') {
+    --depth_;
     return false;
   }
+  if (c != ',') fail("expected ',' or ']' in array");
+  return true;
+}
 
-  Json parse_value(int depth) {
-    if (depth > max_depth) fail("nesting too deep");
-    if (eof()) fail("unexpected end of input");
-    switch (peek()) {
-      case '{':
-        return parse_object(depth);
-      case '[':
-        return parse_array(depth);
-      case '"':
-        return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal");
-      default:
-        return parse_number();
+std::string_view Json_reader::read_string() {
+  if (peek() != Kind::string) mismatch("string");
+  return scan_string();
+}
+
+std::string_view Json_reader::scan_string() {
+  ++pos_;  // the opening quote
+  const std::size_t start = pos_;
+  // Fast path: no escapes, so the value is a view of the text.
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == '"') return text_.substr(start, pos_++ - start);
+    if (c == '\\') break;
+    ++pos_;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
     }
   }
+  unescaped_.assign(text_.data() + start, pos_ - start);
+  const auto next = [this] {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_++];
+  };
+  for (;;) {
+    const char c = next();
+    if (c == '"') return unescaped_;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
+    }
+    if (c != '\\') {
+      unescaped_.push_back(c);
+      continue;
+    }
+    const char escape = next();
+    switch (escape) {
+      case '"': unescaped_.push_back('"'); break;
+      case '\\': unescaped_.push_back('\\'); break;
+      case '/': unescaped_.push_back('/'); break;
+      case 'b': unescaped_.push_back('\b'); break;
+      case 'f': unescaped_.push_back('\f'); break;
+      case 'n': unescaped_.push_back('\n'); break;
+      case 'r': unescaped_.push_back('\r'); break;
+      case 't': unescaped_.push_back('\t'); break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = next();
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            fail("invalid \\u escape");
+          }
+        }
+        // UTF-8 encode the BMP code point (surrogate pairs are not
+        // needed for quest documents but are rejected loudly).
+        if (code >= 0xD800 && code <= 0xDFFF) {
+          fail("surrogate pairs are not supported");
+        }
+        if (code < 0x80) {
+          unescaped_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          unescaped_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          unescaped_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          unescaped_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          unescaped_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          unescaped_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default:
+        fail("invalid escape sequence");
+    }
+  }
+}
 
-  Json parse_object(int depth) {
-    expect('{');
-    Json::Object object;
-    skip_whitespace();
-    if (!eof() && peek() == '}') {
-      ++pos_;
+double Json_reader::read_number() {
+  if (peek() != Kind::number) mismatch("number");
+  return scan_number();
+}
+
+double Json_reader::scan_number() {
+  const char* const begin = text_.data() + pos_;
+  const char* const end = text_.data() + text_.size();
+  const char* p = begin;
+  const auto digits = [&p, end] {
+    const char* const first = p;
+    while (p != end && is_digit(*p)) ++p;
+    return p - first;
+  };
+  if (p != end && *p == '-') ++p;
+  const char* const int_first = p;
+  const std::ptrdiff_t count = digits();
+  // No leading zeros: a "0" integer part is followed by no other digit.
+  bool valid = count == 1 || (count > 1 && *int_first != '0');
+  if (valid && p != end && *p == '.') {
+    ++p;
+    valid = digits() > 0;
+  }
+  if (valid && p != end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p != end && (*p == '+' || *p == '-')) ++p;
+    valid = digits() > 0;
+  }
+  if (!valid) {
+    // Name the would-be token: everything up to the next delimiter.
+    while (p != end && std::strchr(",]} \t\r\n", *p) == nullptr) ++p;
+    pos_ += static_cast<std::size_t>(p - begin);
+    if (p == begin) fail("invalid number");
+    fail("invalid number '" + std::string(begin, p) + "'");
+  }
+  pos_ += static_cast<std::size_t>(p - begin);
+  double value = 0.0;
+  const auto result = std::from_chars(begin, p, value);
+  if (result.ec == std::errc::result_out_of_range) {
+    // from_chars leaves the value unset when it under- or overflows;
+    // strtod rounds underflow to ±0 or a subnormal (accepted) and
+    // overflow to ±HUGE_VAL (refused below).
+    const std::string token(begin, p);
+    value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) fail("invalid number '" + token + "'");
+  } else if (result.ec != std::errc() || result.ptr != p) {
+    fail("invalid number '" + std::string(begin, p) + "'");
+  }
+  return value;
+}
+
+bool Json_reader::read_bool() {
+  if (peek() != Kind::boolean) mismatch("bool");
+  const bool value = text_[pos_] == 't';
+  pos_ += value ? 4 : 5;
+  return value;
+}
+
+void Json_reader::read_null() {
+  if (peek() != Kind::null) mismatch("null");
+  pos_ += 4;
+}
+
+void Json_reader::skip_value() {
+  std::string_view key;
+  switch (peek()) {
+    case Kind::object:
+      begin_object();
+      while (next_key(key)) skip_value();
+      return;
+    case Kind::array:
+      begin_array();
+      while (next_element()) skip_value();
+      return;
+    case Kind::string:
+      scan_string();
+      return;
+    case Kind::number:
+      scan_number();
+      return;
+    case Kind::boolean:
+      read_bool();
+      return;
+    case Kind::null:
+      read_null();
+      return;
+  }
+}
+
+void Json_reader::finish() {
+  skip_whitespace();
+  if (pos_ != text_.size()) fail("trailing content after JSON value");
+}
+
+// ---------------------------------------------------------------------
+// Json
+
+namespace {
+
+/// The DOM consumer of the reader.
+Json read_json(Json_reader& in) {
+  switch (in.peek()) {
+    case Json_reader::Kind::object: {
+      Json::Object object;
+      in.begin_object();
+      std::string_view key;
+      while (in.next_key(key)) {
+        std::string name(key);  // the value's own strings reuse the buffer
+        object.emplace_back(std::move(name), read_json(in));
+      }
       return Json(std::move(object));
     }
-    for (;;) {
-      skip_whitespace();
-      if (eof() || peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      skip_whitespace();
-      object.emplace_back(std::move(key), parse_value(depth + 1));
-      skip_whitespace();
-      if (eof()) fail("unterminated object");
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-    return Json(std::move(object));
-  }
-
-  Json parse_array(int depth) {
-    expect('[');
-    Json::Array array;
-    skip_whitespace();
-    if (!eof() && peek() == ']') {
-      ++pos_;
+    case Json_reader::Kind::array: {
+      Json::Array array;
+      in.begin_array();
+      while (in.next_element()) array.push_back(read_json(in));
       return Json(std::move(array));
     }
-    for (;;) {
-      skip_whitespace();
-      array.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (eof()) fail("unterminated array");
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-    return Json(std::move(array));
+    case Json_reader::Kind::string:
+      return Json(std::string(in.read_string()));
+    case Json_reader::Kind::number:
+      return Json(in.read_number());
+    case Json_reader::Kind::boolean:
+      return Json(in.read_bool());
+    case Json_reader::Kind::null:
+      in.read_null();
+      return Json(nullptr);
   }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = next();
-      if (c == '"') return out;
-      if (c == '\\') {
-        const char escape = next();
-        switch (escape) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("invalid \\u escape");
-              }
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs are not
-            // needed for quest documents but are rejected loudly).
-            if (code >= 0xD800 && code <= 0xDFFF) {
-              fail("surrogate pairs are not supported");
-            }
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            fail("invalid escape sequence");
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      out.push_back(c);
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
-    const std::string copy(token);
-    char* end = nullptr;
-    const double value = std::strtod(copy.c_str(), &end);
-    if (end != copy.c_str() + copy.size() || !std::isfinite(value)) {
-      fail("invalid number '" + copy + "'");
-    }
-    return Json(value);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return Json();
+}
 
 void dump_string(const std::string& s, std::string& out) {
+  static constexpr char hex[] = "0123456789abcdef";
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -251,15 +380,16 @@ void dump_string(const std::string& s, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          out += "\\u00";
+          out.push_back(hex[byte >> 4]);
+          out.push_back(hex[byte & 0xF]);
         } else {
           out.push_back(c);
         }
+      }
     }
   }
   out.push_back('"');
@@ -267,17 +397,16 @@ void dump_string(const std::string& s, std::string& out) {
 
 void dump_number(double d, std::string& out) {
   QUEST_EXPECTS(std::isfinite(d), "JSON numbers must be finite");
-  // Integers print without a fraction; everything else round-trips via
-  // max_digits10.
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", d);
-    out += buffer;
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", d);
-  out += buffer;
+  // Integers print without a fraction (the bytes of "%.0f"); everything
+  // else round-trips via max_digits10 (the bytes of "%.17g").
+  char buffer[32];
+  const bool integral = d == std::floor(d) && std::fabs(d) < 1e15;
+  const std::to_chars_result result =
+      integral ? std::to_chars(buffer, buffer + sizeof buffer, d,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buffer, buffer + sizeof buffer, d,
+                               std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
 }
 
 }  // namespace
@@ -309,10 +438,7 @@ const Json::Object& Json::as_object() const {
 
 const Json& Json::at(std::string_view key) const {
   const Json* found = find(key);
-  if (found == nullptr) {
-    throw Parse_error("JSON object is missing key '" + std::string(key) +
-                      "'");
-  }
+  if (found == nullptr) throw_missing_key(key);
   return *found;
 }
 
@@ -408,8 +534,10 @@ std::string Json::dump(int indent) const {
 }
 
 Json Json::parse(std::string_view text) {
-  Parser parser(text);
-  return parser.parse_document();
+  Json_reader reader(text);
+  Json value = read_json(reader);
+  reader.finish();
+  return value;
 }
 
 bool operator==(const Json& a, const Json& b) { return a.value_ == b.value_; }

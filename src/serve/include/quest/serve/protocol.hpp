@@ -177,7 +177,10 @@ inline constexpr std::size_t k_max_batch_requests = 1024;
 
 /// Parses one client line. Throws Parse_error on malformed JSON, an
 /// unknown "op", wrong field types, or invalid budgets — the server turns
-/// that into a typed "error" event (code "parse").
+/// that into a typed "error" event (code "parse"). The line is decoded
+/// straight into the op by io::Json_reader, with no Json built: members
+/// may come in any order ("op" too), unknown members are skipped after a
+/// grammar check, and of duplicate keys the first wins, as Json::find.
 Op parse_op(std::string_view line);
 
 /// Event builders (the server's half of the protocol).

@@ -1,5 +1,7 @@
 #include "quest/serve/protocol.hpp"
 
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "quest/common/error.hpp"
@@ -9,11 +11,9 @@ namespace quest::serve {
 
 namespace {
 
-double number_field(const io::Json& object, std::string_view key,
-                    double fallback) {
-  const io::Json* field = object.find(key);
-  if (field == nullptr) return fallback;
-  const double value = field->as_number();
+using Kind = io::Json_reader::Kind;
+
+double non_negative(double value, std::string_view key) {
   if (value < 0.0) {
     throw Parse_error("field '" + std::string(key) +
                       "' must be non-negative");
@@ -25,10 +25,8 @@ double number_field(const io::Json& object, std::string_view key,
 /// represent (the cast would be undefined behavior on client-supplied
 /// input like {"node_limit":1e300}). 1e18 comfortably exceeds any
 /// meaningful budget, seed or tuple count.
-std::uint64_t uint_field(const io::Json& object, std::string_view key,
-                         std::uint64_t fallback) {
-  const double value =
-      number_field(object, key, static_cast<double>(fallback));
+std::uint64_t read_uint(io::Json_reader& in, std::string_view key) {
+  const double value = non_negative(in.read_number(), key);
   if (value > 1e18) {
     throw Parse_error("field '" + std::string(key) +
                       "' is too large (max 1e18)");
@@ -36,93 +34,12 @@ std::uint64_t uint_field(const io::Json& object, std::string_view key,
   return static_cast<std::uint64_t>(value);
 }
 
-bool bool_field(const io::Json& object, std::string_view key, bool fallback) {
-  const io::Json* field = object.find(key);
-  return field == nullptr ? fallback : field->as_bool();
-}
-
-std::string string_field(const io::Json& object, std::string_view key,
-                         std::string fallback) {
-  const io::Json* field = object.find(key);
-  return field == nullptr ? std::move(fallback) : field->as_string();
-}
-
-opt::Budget parse_budget(const io::Json& op) {
-  opt::Budget budget;
-  const io::Json* field = op.find("budget");
-  if (field == nullptr) return budget;
-  budget.time_limit_seconds = number_field(*field, "deadline_ms", 0.0) / 1e3;
-  budget.node_limit = uint_field(*field, "node_limit", 0);
-  budget.cost_target = number_field(*field, "cost_target", 0.0);
-  return budget;
-}
-
-/// Parses one optimize op. `default_id` is the batch-element fallback;
-/// empty means the "id" field is mandatory (the top-level op form).
-Optimize_op parse_optimize(const io::Json& op,
-                           const std::string& default_id = {}) {
-  Optimize_op parsed;
-  if (const io::Json* id = op.find("id"); id != nullptr) {
-    parsed.id = id->as_string();
-  } else {
-    parsed.id = default_id;
-  }
-  if (parsed.id.empty()) {
-    throw Parse_error("optimize op needs a non-empty 'id'");
-  }
-  const io::Json& instance = op.at("instance");
-  if (instance.is_string()) {
-    parsed.instance_name = instance.as_string();
-  } else {
-    parsed.inline_instance = io::instance_from_json(instance);
-  }
-  parsed.optimizer = string_field(op, "optimizer", "portfolio");
-  parsed.budget = parse_budget(op);
-  parsed.seed = uint_field(op, "seed", 0);
-  parsed.model = model::parse_cost_model_spec(
-      string_field(op, "model", "independent"),
-      string_field(op, "policy", "sequential"));
-  parsed.stream = bool_field(op, "stream", false);
-  parsed.cache = bool_field(op, "cache", true);
-  if (const io::Json* execute = op.find("execute"); execute != nullptr) {
-    // Hard resource bounds, not just representability: `workers` creates
-    // OS threads (running past the thread limit would terminate the
-    // daemon) and `tuples` is uncancellable executor work.
-    Execute_spec spec;
-    spec.tuples = uint_field(*execute, "tuples", spec.tuples);
-    if (spec.tuples < 1 || spec.tuples > 10'000'000) {
-      throw Parse_error("execute.tuples must be in [1, 10000000]");
-    }
-    spec.block_size = uint_field(*execute, "block_size", spec.block_size);
-    if (spec.block_size < 1 || spec.block_size > spec.tuples) {
-      throw Parse_error("execute.block_size must be in [1, tuples]");
-    }
-    spec.workers = static_cast<std::size_t>(
-        uint_field(*execute, "workers", spec.workers));
-    if (spec.workers < 1 || spec.workers > 64) {
-      throw Parse_error("execute.workers must be in [1, 64]");
-    }
-    parsed.execute = spec;
-  }
-  return parsed;
-}
-
-std::vector<std::uint64_t> uint_array(const io::Json& op,
-                                      std::string_view key,
-                                      bool required) {
-  const io::Json* field = op.find(key);
-  if (field == nullptr) {
-    if (required) {
-      throw Parse_error("observe op needs array field '" +
-                        std::string(key) + "'");
-    }
-    return {};
-  }
-  const io::Json::Array& array = field->as_array();
+std::vector<std::uint64_t> read_uint_array(io::Json_reader& in,
+                                           std::string_view key) {
   std::vector<std::uint64_t> values;
-  values.reserve(array.size());
-  for (const io::Json& element : array) {
-    const double value = element.as_number();
+  in.begin_array();
+  while (in.next_element()) {
+    const double value = in.read_number();
     if (value < 0.0 || value > 1e18) {
       throw Parse_error("field '" + std::string(key) +
                         "' entries must be in [0, 1e18]");
@@ -132,14 +49,12 @@ std::vector<std::uint64_t> uint_array(const io::Json& op,
   return values;
 }
 
-std::vector<double> number_array(const io::Json& op, std::string_view key) {
-  const io::Json* field = op.find(key);
-  if (field == nullptr) return {};
-  const io::Json::Array& array = field->as_array();
+std::vector<double> read_number_array(io::Json_reader& in,
+                                      std::string_view key) {
   std::vector<double> values;
-  values.reserve(array.size());
-  for (const io::Json& element : array) {
-    const double value = element.as_number();
+  in.begin_array();
+  while (in.next_element()) {
+    const double value = in.read_number();
     if (value < 0.0) {
       throw Parse_error("field '" + std::string(key) +
                         "' entries must be non-negative");
@@ -149,39 +64,206 @@ std::vector<double> number_array(const io::Json& op, std::string_view key) {
   return values;
 }
 
-/// Resolves the shared "instance" field shape (name or inline doc) of
-/// the observe/refit ops.
-void parse_instance_ref(const io::Json& op, std::string& name,
-                        std::optional<io::Instance_document>& inline_doc) {
-  const io::Json& instance = op.at("instance");
-  if (instance.is_string()) {
-    name = instance.as_string();
+/// The "instance" member of optimize, observe and refit: a registered
+/// name or an inline document.
+void read_instance_ref(io::Json_reader& in, std::string& name,
+                       std::optional<io::Instance_document>& inline_doc) {
+  if (in.peek() == Kind::string) {
+    name = in.read_string();
   } else {
-    inline_doc = io::instance_from_json(instance);
+    inline_doc = io::read_instance(in);
   }
 }
 
-Observe_op parse_observe(const io::Json& op) {
-  Observe_op parsed;
-  parse_instance_ref(op, parsed.instance_name, parsed.inline_instance);
-  const io::Json::Array& plan = op.at("plan").as_array();
-  for (const io::Json& element : plan) {
-    const double value = element.as_number();
-    if (value < 0.0 || value > 1e6) {
-      throw Parse_error("observe plan entries must be service ids");
+opt::Budget read_budget(io::Json_reader& in) {
+  opt::Budget budget;
+  io::read_object(in, {"deadline_ms", "node_limit", "cost_target"},
+                  [&](std::string_view key) {
+    if (key == "deadline_ms") {
+      budget.time_limit_seconds = non_negative(in.read_number(), key) / 1e3;
+    } else if (key == "node_limit") {
+      budget.node_limit = read_uint(in, key);
+    } else {
+      budget.cost_target = non_negative(in.read_number(), key);
     }
-    parsed.plan.append(static_cast<model::Service_id>(value));
+  });
+  return budget;
+}
+
+/// Hard resource bounds, not just representability: `workers` creates OS
+/// threads (running past the thread limit would terminate the daemon)
+/// and `tuples` is uncancellable executor work.
+Execute_spec read_execute(io::Json_reader& in) {
+  Execute_spec spec;
+  io::read_object(in, {"tuples", "block_size", "workers"},
+                  [&](std::string_view key) {
+    const std::uint64_t value = read_uint(in, key);
+    if (key == "tuples") {
+      spec.tuples = value;
+    } else if (key == "block_size") {
+      spec.block_size = value;
+    } else {
+      spec.workers = static_cast<std::size_t>(value);
+    }
+  });
+  if (spec.tuples < 1 || spec.tuples > 10'000'000) {
+    throw Parse_error("execute.tuples must be in [1, 10000000]");
   }
-  parsed.tuples_in = uint_array(op, "tuples_in", /*required=*/true);
-  parsed.tuples_out = uint_array(op, "tuples_out", /*required=*/true);
+  if (spec.block_size < 1 || spec.block_size > spec.tuples) {
+    throw Parse_error("execute.block_size must be in [1, tuples]");
+  }
+  if (spec.workers < 1 || spec.workers > 64) {
+    throw Parse_error("execute.workers must be in [1, 64]");
+  }
+  return spec;
+}
+
+/// Reads one optimize object. An absent "id" leaves `id` empty for a
+/// batch to default; a present one must be non-empty.
+Optimize_op read_optimize(io::Json_reader& in) {
+  Optimize_op parsed;
+  bool has_id = false;
+  bool has_instance = false;
+  std::string model = "independent";
+  std::string policy = "sequential";
+  io::read_object(in, {"id", "instance", "optimizer", "budget", "seed",
+                       "model", "policy", "stream", "cache", "execute"},
+                  [&](std::string_view key) {
+    if (key == "id") {
+      parsed.id = in.read_string();
+      has_id = true;
+    } else if (key == "instance") {
+      read_instance_ref(in, parsed.instance_name, parsed.inline_instance);
+      has_instance = true;
+    } else if (key == "optimizer") {
+      parsed.optimizer = in.read_string();
+    } else if (key == "budget") {
+      parsed.budget = read_budget(in);
+    } else if (key == "seed") {
+      parsed.seed = read_uint(in, key);
+    } else if (key == "model") {
+      model = in.read_string();
+    } else if (key == "policy") {
+      policy = in.read_string();
+    } else if (key == "stream") {
+      parsed.stream = in.read_bool();
+    } else if (key == "cache") {
+      parsed.cache = in.read_bool();
+    } else {
+      parsed.execute = read_execute(in);
+    }
+  });
+  if (has_id && parsed.id.empty()) {
+    throw Parse_error("optimize op needs a non-empty 'id'");
+  }
+  if (!has_instance) io::throw_missing_key("instance");
+  parsed.model = model::parse_cost_model_spec(model, policy);
+  return parsed;
+}
+
+Register_op read_register(io::Json_reader& in) {
+  std::optional<std::string> name;
+  std::optional<io::Instance_document> document;
+  io::read_object(in, {"name", "instance"}, [&](std::string_view key) {
+    if (key == "name") {
+      name = in.read_string();
+    } else {
+      document = io::read_instance(in);
+    }
+  });
+  if (!name) io::throw_missing_key("name");
+  if (name->empty()) {
+    throw Parse_error("register op needs a non-empty 'name'");
+  }
+  if (!document) io::throw_missing_key("instance");
+  return Register_op{std::move(*name), std::move(*document)};
+}
+
+Batch_op read_batch(io::Json_reader& in) {
+  Batch_op parsed;
+  bool has_id = false;
+  bool has_requests = false;
+  io::read_object(in, {"id", "requests"}, [&](std::string_view key) {
+    if (key == "id") {
+      parsed.id = in.read_string();
+      has_id = true;
+      return;
+    }
+    has_requests = true;
+    in.begin_array();
+    while (in.next_element()) {
+      if (parsed.requests.size() == k_max_batch_requests) {
+        throw Parse_error("optimize_batch is capped at " +
+                          std::to_string(k_max_batch_requests) +
+                          " requests");
+      }
+      parsed.requests.push_back(read_optimize(in));
+    }
+  });
+  if (!has_id) io::throw_missing_key("id");
+  if (parsed.id.empty()) {
+    throw Parse_error("optimize_batch op needs a non-empty 'id'");
+  }
+  if (!has_requests) io::throw_missing_key("requests");
+  if (parsed.requests.empty()) {
+    throw Parse_error("optimize_batch needs at least one request");
+  }
+  for (std::size_t index = 0; index < parsed.requests.size(); ++index) {
+    std::string& id = parsed.requests[index].id;
+    if (id.empty()) id = parsed.id + "/" + std::to_string(index);
+  }
+  return parsed;
+}
+
+Observe_op read_observe(io::Json_reader& in) {
+  Observe_op parsed;
+  bool has_instance = false;
+  bool has_plan = false;
+  bool has_tuples_in = false;
+  bool has_tuples_out = false;
+  io::read_object(in, {"instance", "plan", "tuples_in", "tuples_out",
+                       "cost_count", "cost_sum", "cost_sq_sum"},
+                  [&](std::string_view key) {
+    if (key == "instance") {
+      read_instance_ref(in, parsed.instance_name, parsed.inline_instance);
+      has_instance = true;
+    } else if (key == "plan") {
+      has_plan = true;
+      in.begin_array();
+      while (in.next_element()) {
+        const double value = in.read_number();
+        if (value < 0.0 || value > 1e6) {
+          throw Parse_error("observe plan entries must be service ids");
+        }
+        parsed.plan.append(static_cast<model::Service_id>(value));
+      }
+    } else if (key == "tuples_in") {
+      parsed.tuples_in = read_uint_array(in, key);
+      has_tuples_in = true;
+    } else if (key == "tuples_out") {
+      parsed.tuples_out = read_uint_array(in, key);
+      has_tuples_out = true;
+    } else if (key == "cost_count") {
+      parsed.cost_count = read_uint_array(in, key);
+    } else if (key == "cost_sum") {
+      parsed.cost_sum = read_number_array(in, key);
+    } else {
+      parsed.cost_sq_sum = read_number_array(in, key);
+    }
+  });
+  if (!has_instance) io::throw_missing_key("instance");
+  if (!has_plan) io::throw_missing_key("plan");
+  if (!has_tuples_in) {
+    throw Parse_error("observe op needs array field 'tuples_in'");
+  }
+  if (!has_tuples_out) {
+    throw Parse_error("observe op needs array field 'tuples_out'");
+  }
   if (parsed.tuples_in.size() != parsed.plan.size() ||
       parsed.tuples_out.size() != parsed.plan.size()) {
     throw Parse_error(
         "observe tuples_in/tuples_out must match the plan length");
   }
-  parsed.cost_count = uint_array(op, "cost_count", /*required=*/false);
-  parsed.cost_sum = number_array(op, "cost_sum");
-  parsed.cost_sq_sum = number_array(op, "cost_sq_sum");
   if (parsed.cost_count.size() != parsed.cost_sum.size() ||
       parsed.cost_count.size() != parsed.cost_sq_sum.size()) {
     throw Parse_error(
@@ -190,66 +272,84 @@ Observe_op parse_observe(const io::Json& op) {
   return parsed;
 }
 
-Refit_op parse_refit(const io::Json& op) {
+Refit_op read_refit(io::Json_reader& in) {
   Refit_op parsed;
-  parse_instance_ref(op, parsed.instance_name, parsed.inline_instance);
-  parsed.policy =
-      model::parse_send_policy(string_field(op, "policy", "sequential"));
-  parsed.objective =
-      model::parse_objective(string_field(op, "objective", "mean"));
-  parsed.min_samples = uint_field(op, "min_samples", 0);
+  bool has_instance = false;
+  io::read_object(in, {"instance", "policy", "objective", "min_samples"},
+                  [&](std::string_view key) {
+    if (key == "instance") {
+      read_instance_ref(in, parsed.instance_name, parsed.inline_instance);
+      has_instance = true;
+    } else if (key == "policy") {
+      parsed.policy = model::parse_send_policy(in.read_string());
+    } else if (key == "objective") {
+      parsed.objective = model::parse_objective(in.read_string());
+    } else {
+      parsed.min_samples = read_uint(in, key);
+    }
+  });
+  if (!has_instance) io::throw_missing_key("instance");
   return parsed;
+}
+
+/// The "op" member of a request line. Writers put it first, so this
+/// usually reads one member; otherwise it checks the members before it.
+std::string read_op_kind(std::string_view line) {
+  io::Json_reader in(line);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    if (key == "op") return std::string(in.read_string());
+    in.skip_value();
+  }
+  io::throw_missing_key("op");
+}
+
+Op read_op(io::Json_reader& in, const std::string& kind) {
+  if (kind == "register") return read_register(in);
+  if (kind == "optimize") {
+    Optimize_op parsed = read_optimize(in);
+    if (parsed.id.empty()) {
+      throw Parse_error("optimize op needs a non-empty 'id'");
+    }
+    return parsed;
+  }
+  if (kind == "optimize_batch") return read_batch(in);
+  if (kind == "cancel") {
+    std::optional<std::string> id;
+    io::read_object(in, {"id"},
+                    [&](std::string_view) { id = in.read_string(); });
+    if (!id) io::throw_missing_key("id");
+    return Cancel_op{std::move(*id)};
+  }
+  if (kind == "observe") return read_observe(in);
+  if (kind == "refit") return read_refit(in);
+  if (kind == "shutdown") {
+    Shutdown_op parsed;
+    io::read_object(in, {"drain"},
+                    [&](std::string_view) { parsed.drain = in.read_bool(); });
+    return parsed;
+  }
+  if (kind == "stats") {
+    in.skip_value();
+    return Stats_op{};
+  }
+  // A malformed line reports its grammar error before the unknown op.
+  in.skip_value();
+  in.finish();
+  throw Parse_error("unknown op '" + kind +
+                    "' (expected register, optimize, optimize_batch, "
+                    "cancel, observe, refit, stats, or shutdown)");
 }
 
 }  // namespace
 
 Op parse_op(std::string_view line) {
-  const io::Json op = io::Json::parse(line);
-  const std::string kind = op.at("op").as_string();
-  if (kind == "register") {
-    std::string name = op.at("name").as_string();
-    if (name.empty()) {
-      throw Parse_error("register op needs a non-empty 'name'");
-    }
-    return Register_op{std::move(name),
-                       io::instance_from_json(op.at("instance"))};
-  }
-  if (kind == "optimize") return parse_optimize(op);
-  if (kind == "optimize_batch") {
-    Batch_op parsed;
-    parsed.id = op.at("id").as_string();
-    if (parsed.id.empty()) {
-      throw Parse_error("optimize_batch op needs a non-empty 'id'");
-    }
-    const io::Json::Array& requests = op.at("requests").as_array();
-    if (requests.empty()) {
-      throw Parse_error("optimize_batch needs at least one request");
-    }
-    if (requests.size() > k_max_batch_requests) {
-      throw Parse_error("optimize_batch is capped at " +
-                        std::to_string(k_max_batch_requests) + " requests");
-    }
-    parsed.requests.reserve(requests.size());
-    for (std::size_t index = 0; index < requests.size(); ++index) {
-      parsed.requests.push_back(parse_optimize(
-          requests[index], parsed.id + "/" + std::to_string(index)));
-    }
-    return parsed;
-  }
-  if (kind == "cancel") {
-    Cancel_op parsed;
-    parsed.id = op.at("id").as_string();
-    return parsed;
-  }
-  if (kind == "observe") return parse_observe(op);
-  if (kind == "refit") return parse_refit(op);
-  if (kind == "stats") return Stats_op{};
-  if (kind == "shutdown") {
-    return Shutdown_op{bool_field(op, "drain", false)};
-  }
-  throw Parse_error("unknown op '" + kind +
-                    "' (expected register, optimize, optimize_batch, "
-                    "cancel, observe, refit, stats, or shutdown)");
+  const std::string kind = read_op_kind(line);
+  io::Json_reader in(line);
+  Op op = read_op(in, kind);
+  in.finish();
+  return op;
 }
 
 io::Json registered_event(const std::string& name, std::size_t services,

@@ -3,20 +3,24 @@
 // and the paranoid load path — a record whose checksum, shape, or
 // embedded register line fails verification is refused, never replayed
 // (replaying a mis-keyed registration would route repairs to the wrong
-// shard).
+// shard). The load path is fuzzed the way tests/store/snapshot_test.cpp
+// fuzzes snapshots, with a checked-in refusal corpus.
 
 #include "quest/cluster/registration_journal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "quest/io/fingerprint.hpp"
 #include "quest/io/instance_io.hpp"
+#include "quest/common/rng.hpp"
 #include "quest/io/json.hpp"
 #include "support/helpers.hpp"
 
@@ -203,6 +207,129 @@ TEST(Registration_journal_test, MissingFileIsACleanColdStart) {
   EXPECT_FALSE(journal.load_report().file_found);
   EXPECT_EQ(journal.size(), 0u);
   EXPECT_EQ(journal.io_failures(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Byte-mutation fuzzing of the load path. The contract under corruption:
+// loading never throws or crashes, and no altered content is ever
+// replayed — every loaded entry is byte for byte one that was recorded.
+// A single bit flip must moreover be visible (header refused or a record
+// counted as refused) or leave the load exactly the pristine one.
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+struct Journal_fixture {
+  Temp_path temp{"quest_journal_fuzz"};
+  std::vector<Registration> recorded{make_registration("a", 21),
+                                     make_registration("b", 22),
+                                     make_registration("c", 23)};
+  std::string pristine;
+
+  Journal_fixture() {
+    {
+      Registration_journal journal(Journal_options{temp.path, 64});
+      for (const auto& r : recorded) journal.record(r.fingerprint, r.name, r.line);
+    }
+    pristine = read_all(temp.path);
+  }
+
+  /// Loads `bytes` as the journal file and enforces the contract; true
+  /// when the load was visibly refused in part or whole.
+  bool load(const std::string& bytes, const std::string& what) {
+    {
+      std::ofstream file(temp.path, std::ios::binary | std::ios::trunc);
+      file << bytes;
+    }
+    std::optional<Registration_journal> journal;
+    EXPECT_NO_THROW(journal.emplace(Journal_options{temp.path, 64})) << what;
+    if (!journal) return true;
+    for (const auto& entry : journal->entries()) {
+      bool known = false;
+      for (const auto& r : recorded) {
+        known = known || (entry.fingerprint == r.fingerprint &&
+                          entry.name == r.name && entry.line == r.line);
+      }
+      EXPECT_TRUE(known) << what << ": replayable entry '" << entry.name
+                         << "' was never recorded (silent acceptance)";
+    }
+    const auto& report = journal->load_report();
+    return !report.header_ok || report.stale_refused > 0;
+  }
+};
+
+TEST(Registration_journal_fuzz, EverySingleBitFlipIsRefusedOrHarmless) {
+  Journal_fixture fixture;
+  ASSERT_FALSE(fixture.pristine.empty());
+  for (std::size_t at = 0; at < fixture.pristine.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = fixture.pristine;
+      mutated[at] = static_cast<char>(
+          static_cast<unsigned char>(mutated[at]) ^ (1u << bit));
+      const std::string what = "flip of bit " + std::to_string(bit) +
+                               " at byte " + std::to_string(at);
+      if (!fixture.load(mutated, what)) {
+        Registration_journal journal(Journal_options{fixture.temp.path, 64});
+        EXPECT_EQ(journal.size(), fixture.recorded.size()) << what;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(Registration_journal_fuzz, TruncationsAndStructuralMutationsNeverReplayAlteredContent) {
+  Journal_fixture fixture;
+  for (std::size_t cut = 0; cut < fixture.pristine.size(); ++cut) {
+    fixture.load(fixture.pristine.substr(0, cut),
+                 "truncated to " + std::to_string(cut) + " bytes");
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Deterministic seed so CI replays bit-for-bit; reseed to explore.
+  Rng rng(0x70a2a1);
+  for (int round = 0; round < 400; ++round) {
+    std::string mutated = fixture.pristine;
+    const std::size_t from = rng.uniform_int(mutated.size());
+    const std::size_t len = rng.uniform_int(mutated.size() - from) + 1;
+    switch (rng.uniform_int(std::uint64_t{4})) {
+      case 0:  // overwrite a byte with an arbitrary value
+        mutated[from] = static_cast<char>(rng.uniform_int(std::uint64_t{256}));
+        break;
+      case 1:  // duplicate a byte range
+        mutated.insert(from, mutated.substr(from, len));
+        break;
+      case 2:  // delete a byte range
+        mutated.erase(from, len);
+        break;
+      default:  // splice the file onto itself at a random cut
+        mutated = mutated.substr(from) + mutated.substr(0, len);
+        break;
+    }
+    fixture.load(mutated, "structural round " + std::to_string(round));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(Registration_journal_fuzz, CheckedInCorpusIsRefusedWithoutCrashing) {
+  // Journals that once looked plausible: each must load without throwing
+  // and without a single replayable entry.
+  const std::filesystem::path corpus(QUEST_JOURNAL_CORPUS);
+  ASSERT_TRUE(std::filesystem::is_directory(corpus));
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (!entry.is_regular_file()) continue;
+    ++files;
+    std::optional<Registration_journal> journal;
+    ASSERT_NO_THROW(
+        journal.emplace(Journal_options{entry.path().string(), 64}))
+        << entry.path();
+    EXPECT_TRUE(journal->load_report().file_found) << entry.path();
+    EXPECT_EQ(journal->load_report().entries_loaded, 0u) << entry.path();
+    EXPECT_EQ(journal->size(), 0u) << entry.path();
+  }
+  EXPECT_GE(files, 8u) << "journal fuzz corpus went missing";
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "quest/io/json.hpp"
 
 namespace quest {
@@ -89,6 +92,33 @@ TEST(Json_test, ParseErrors) {
   };
   for (const char* text : bad) {
     EXPECT_THROW(Json::parse(text), Parse_error) << "'" << text << "'";
+  }
+}
+
+TEST(Json_test, NumberGrammarFollowsRfc8259) {
+  // Leading zeros, a bare or trailing '.', a '+' sign and an empty
+  // exponent are not JSON numbers (RFC 8259, section 6).
+  const char* bad[] = {"[01]", "[.5]", "[5.]", "[-.5]", "[1.e5]", "[-01]",
+                       "[00]", "[+1]", "[1e]", "[1e+]", "[-]"};
+  for (const char* text : bad) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const Parse_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid number"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // Every form the grammar allows still reads.
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},         {"-0", -0.0},      {"0.5", 0.5},
+      {"-0.5", -0.5},     {"10", 10.0},      {"1e5", 1e5},
+      {"1E+5", 1e5},      {"1e-05", 1e-5},   {"-1.25e-3", -1.25e-3},
+      {"0e0", 0.0},       {"0.0", 0.0},      {"120.5E2", 12050.0},
+  };
+  for (const auto& [text, value] : good) {
+    EXPECT_EQ(Json::parse(text).as_number(), value) << text;
   }
 }
 
