@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 
 namespace quest::cluster {
@@ -56,19 +57,6 @@ io::Json merge_stats_events(const std::vector<io::Json>& events,
   merged.set("repairs", static_cast<double>(fleet.repairs));
   merged.set("replica_lag", static_cast<double>(fleet.replica_lag));
   return merged;
-}
-
-std::string result_event_id(std::string_view line) {
-  constexpr std::string_view prefix = "{\"event\":\"result\",\"id\":\"";
-  if (line.substr(0, prefix.size()) != prefix) return {};
-  const auto rest = line.substr(prefix.size());
-  std::string id;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == '\\') return {};  // escaped id: punt, keep the entry
-    if (rest[i] == '"') return id;
-    id.push_back(rest[i]);
-  }
-  return {};
 }
 
 }  // namespace quest::cluster

@@ -1,18 +1,15 @@
 // quest/cluster/backend.hpp
 //
-// The router's reading of a quest_serve backend's events, as free
-// functions with no router state: peeking the request id of a result
-// line, and merging the per-backend stats events into the one fleet
-// event a client sees — one stats schema. Dialing and writing are the
-// transport's (serve::Tcp_transport::connect and send, over
-// serve::dial_tcp), so backend links live on the router's one loop.
+// The router's merge of the per-backend stats events into the one fleet
+// event a client sees — one stats schema. Reading backend events is the
+// protocol's (serve::read_event); dialing and writing are the transport's
+// (serve::Tcp_transport::connect and send, over serve::dial_tcp), so
+// backend links live on the router's one loop.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "quest/io/json.hpp"
@@ -44,12 +41,5 @@ struct Fleet_counters {
 /// "repairs", "replica_lag" — present at every R.
 io::Json merge_stats_events(const std::vector<io::Json>& events,
                             const Fleet_counters& fleet);
-
-/// Best-effort id extraction from a backend "result" line, so the
-/// router can retire that id's route entry. Result events always start
-/// {"event":"result","id":"..." (the builder's field order is fixed);
-/// anything else returns empty and the entry stays until cancel or
-/// client disconnect — bounded either way.
-std::string result_event_id(std::string_view line);
 
 }  // namespace quest::cluster

@@ -1,13 +1,16 @@
 // quest/cluster/replica_router.hpp
 //
-// The front of a quest_serve fleet, and its only router. It speaks the
-// ordinary wire protocol to clients and forwards raw lines to backends
-// by consistent-hashed instance fingerprint: each key is bound to the
+// The front of a quest_serve fleet, and its only router. It decodes each
+// client line as the server does (serve::decode_line: a refused line
+// gets the server's bytes) and forwards the raw line to backends by
+// consistent-hashed instance fingerprint: each key is bound to the
 // first R distinct shards on the ring (Shard_map::replicas), so it keeps
 // serving through the loss of any R-1 of them. R=1 is plain sharding —
 // an owner list of length one, with no secondaries and no failover
 // target — and runs the same code: the journal and the health prober
-// still heal a backend that restarts empty.
+// still heal a backend that restarts empty. Backend events are read by
+// serve::read_event (kind, id, code, fingerprint); only a stats merge
+// and the shutdown fold parse a whole event.
 //
 //  * register / observe / refit — *fan out*: the first live owner is the
 //    client-visible forward (its events stream back verbatim); the other
@@ -42,10 +45,11 @@
 //  * shutdown — forwarded to every reachable backend; the router keeps
 //    relaying events (under "drain":true, every drained result) until
 //    each backend has answered "shutdown-complete" or dropped its link,
-//    then emits one merged shutting-down / shutdown-complete pair
-//    ("outstanding", "completed" and "cancelled" summed, "drain"
-//    echoed) and stops. No new op is read meanwhile, and the shutdown
-//    finishes even when the requesting client has already gone.
+//    then emits one merged pair (serve::shutting_down_event and
+//    shutdown_complete_event: "outstanding", "completed" and "cancelled"
+//    summed, "drain" echoed) and stops. No new op is read meanwhile, and
+//    the shutdown finishes even when the requesting client has already
+//    gone.
 //
 // Liveness comes from an active Health_monitor (probe thread with
 // exponential backoff), not lazy reconnects: routing never dials a shard
@@ -84,6 +88,7 @@
 #include "quest/cluster/registration_journal.hpp"
 #include "quest/io/json.hpp"
 #include "quest/serve/line_framer.hpp"
+#include "quest/serve/protocol.hpp"
 #include "quest/serve/tcp_transport.hpp"
 #include "quest/store/shard_map.hpp"
 
@@ -206,31 +211,24 @@ class Replica_router {
   /// still waits on excepted); a link's close is link_down.
   void on_close(serve::Connection_id id);
 
-  /// False once a shutdown op was taken: the client's remaining lines
-  /// are not read.
+  /// Decodes the line as the server does (serve::decode_line) and
+  /// routes the op. False once a shutdown op was taken: the client's
+  /// remaining lines are not read.
   bool handle_line(Client& client, std::string_view line);
-  void handle_register(Client& client, const io::Json& doc,
-                       std::string_view line);
-  /// Validates the whole batch as the server would (serve::parse_op),
-  /// then routes each element as its own optimize.
-  void handle_batch(Client& client, const io::Json& doc,
-                    std::string_view line);
-  void route_optimize(Client& client, const io::Json& doc,
-                      const std::string& id, std::string_view line);
-  void handle_cancel(Client& client, const std::string& id,
-                     std::string_view line);
+  void route_optimize(Client& client, const serve::Optimize_op& op,
+                      std::string_view line);
   /// register/observe/refit share the fan-out shape; this does the
   /// primary-ack + best-effort-secondaries part.
   void fan_out(Client& client, const std::vector<std::size_t>& owners,
-               std::string_view line, const std::string& id);
+               std::string_view line);
   void handle_stats(Client& client, std::string_view line);
-  bool handle_shutdown(Client& client, std::string_view line);
 
-  /// Resolves the "instance" field (registered name or inline document)
-  /// to a fingerprint. False when resolution failed (an error event has
-  /// been sent).
-  bool resolve_instance(Client& client, const io::Json& doc,
-                        const std::string& id, std::uint64_t& print);
+  /// The fingerprint of the op's inline document or registered name;
+  /// empty once an unknown name was answered (typed, carrying `id`).
+  template <typename Instance_op>
+  std::optional<std::uint64_t> resolve_instance(Client& client,
+                                                const Instance_op& op,
+                                                const std::string& id);
 
   /// The live link in `slot` to `shard` — a client link when `client`
   /// is set, else a replication feed — dialed if needed; 0 when there
@@ -254,15 +252,19 @@ class Replica_router {
 
   void shed(Client& client, const std::string& id, std::size_t shard);
 
+  /// Reads the event's kind, id, code and fingerprint (serve::read_event)
+  /// to act on it; a result retires its route.
   void handle_backend_line(serve::Connection_id id, Link& link,
                            std::string_view line);
   /// True when the line was intercepted (a stats event owed to a merge,
   /// a failover / repair error, or a swallowed repair ack) and must not
   /// reach the client.
-  bool intercept(serve::Connection_id id, Link& link, std::string_view line);
+  bool intercept(serve::Connection_id id, Link& link,
+                 const serve::Event_head& event, std::string_view line);
   /// Folds a backend's shutting-down / shutdown-complete into the
   /// shutdown in flight; true when the line was one of them.
-  bool fold_shutdown_event(Link& link, std::string_view line);
+  bool fold_shutdown_event(Link& link, const serve::Event_head& event,
+                           std::string_view line);
   /// The link closed: its routes fail over or shed, its merge share is
   /// settled, and a close the router did not ask for marks the shard
   /// dead.

@@ -8,30 +8,16 @@
 #include "quest/cluster/backend.hpp"
 #include "quest/common/error.hpp"
 #include "quest/io/fingerprint.hpp"
-#include "quest/io/instance_io.hpp"
-#include "quest/serve/protocol.hpp"
 #include "quest/store/jsonl.hpp"
 
 namespace quest::cluster {
 
 namespace {
 
-bool starts_with(std::string_view line, std::string_view prefix) {
-  return line.substr(0, prefix.size()) == prefix;
-}
-
-std::uint64_t document_fingerprint(const io::Json& instance) {
-  const io::Instance_document document = io::instance_from_json(instance);
+std::uint64_t fingerprint_of(const io::Instance_document& document) {
   return io::fingerprint(
       document.instance,
       document.precedence ? &*document.precedence : nullptr);
-}
-
-/// The string field `key` of an object, empty when absent or not a
-/// string.
-std::string string_field(const io::Json& object, std::string_view key) {
-  const io::Json* field = object.find(key);
-  return field != nullptr && field->is_string() ? field->as_string() : "";
 }
 
 /// The numeric field `key` of an object, 0 when absent or not a number.
@@ -134,168 +120,103 @@ void Replica_router::on_close(serve::Connection_id id) {
 }
 
 bool Replica_router::handle_line(Client& client, std::string_view line) {
-  io::Json doc;
-  std::string op;
-  try {
-    doc = io::Json::parse(line);
-    op = doc.at("op").as_string();
-  } catch (const std::exception& error) {
+  serve::Decoded_line decoded = serve::decode_line(line);
+  if (decoded.refusal) transport_.send(client.id, decoded.refusal->dump());
+  if (!decoded.op) return true;
+  const serve::Op& op = *decoded.op;
+  // register, observe and refit fan out to their instance's owners.
+  std::optional<std::uint64_t> fan_out_key;
+  if (const auto* reg = std::get_if<serve::Register_op>(&op)) {
+    fan_out_key = fingerprint_of(reg->document);
+    // Journal before forwarding: even a register that sheds (whole owner
+    // set down) is replayable the moment an owner comes back.
+    journal_.record(*fan_out_key, reg->name, std::string(line));
+    names_[reg->name] = *fan_out_key;
+  } else if (const auto* optimize = std::get_if<serve::Optimize_op>(&op)) {
+    route_optimize(client, *optimize, line);
+  } else if (const auto* batch = std::get_if<serve::Batch_op>(&op)) {
+    // Each element goes to the shard that owns it, as its own optimize.
     transport_.send(client.id,
-                    serve::error_event(error.what(), {}, "parse").dump());
-    return true;
-  }
-
-  if (op == "register") {
-    handle_register(client, doc, line);
-  } else if (op == "optimize") {
-    route_optimize(client, doc, string_field(doc, "id"), line);
-  } else if (op == "optimize_batch") {
-    handle_batch(client, doc, line);
-  } else if (op == "cancel") {
-    std::string id;
-    try {
-      id = doc.at("id").as_string();
-    } catch (const std::exception& error) {
+                    serve::batch_event(batch->id, batch->requests.size())
+                        .dump());
+    const std::vector<std::string> elements =
+        serve::batch_element_lines(line, *batch);
+    for (std::size_t index = 0; index < elements.size(); ++index) {
+      route_optimize(client, batch->requests[index], elements[index]);
+    }
+  } else if (const auto* cancel = std::get_if<serve::Cancel_op>(&op)) {
+    const auto route = client.routes.find(cancel->id);
+    if (route == client.routes.end()) {
       transport_.send(client.id,
-                      serve::error_event(error.what(), {}, "parse").dump());
-      return true;
+                      serve::cancel_event(cancel->id, false).dump());
+    } else {
+      const std::size_t shard =
+          route->second.owners[route->second.owner_index];
+      client.routes.erase(route);
+      if (!send_to(client, shard, line)) shed(client, cancel->id, shard);
     }
-    handle_cancel(client, id, line);
-  } else if (op == "observe" || op == "refit") {
-    std::uint64_t print = 0;
-    if (resolve_instance(client, doc, {}, print)) {
-      fan_out(client, map_.replicas(print, options_.replicas), line, {});
-    }
-  } else if (op == "stats") {
+  } else if (const auto* observe = std::get_if<serve::Observe_op>(&op)) {
+    fan_out_key = resolve_instance(client, *observe, {});
+  } else if (const auto* refit = std::get_if<serve::Refit_op>(&op)) {
+    fan_out_key = resolve_instance(client, *refit, {});
+  } else if (std::holds_alternative<serve::Stats_op>(op)) {
     handle_stats(client, line);
-  } else if (op == "shutdown") {
-    return handle_shutdown(client, line);
   } else {
-    transport_.send(
-        client.id,
-        serve::error_event("unknown op \"" + op + "\"", {}, "parse").dump());
+    // To every backend; the merged pair goes out once each has answered.
+    shutdown_.emplace();
+    shutdown_->client = client.id;
+    shutdown_->drain = std::get<serve::Shutdown_op>(op).drain;
+    for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
+      const serve::Connection_id link =
+          open_link(client.links[shard], shard, &client);
+      if (!send_on(link, line)) continue;
+      links_.at(link).shutdown_member = true;
+      ++shutdown_->pending;
+    }
+    if (shutdown_->pending == 0) finish_shutdown();
+    return false;
+  }
+  if (fan_out_key) {
+    fan_out(client, map_.replicas(*fan_out_key, options_.replicas), line);
   }
   return true;
 }
 
-void Replica_router::handle_register(Client& client, const io::Json& doc,
-                                     std::string_view line) {
-  std::string name;
-  std::uint64_t print = 0;
-  try {
-    name = doc.at("name").as_string();
-    print = document_fingerprint(doc.at("instance"));
-  } catch (const std::exception& error) {
-    transport_.send(client.id,
-                    serve::error_event(error.what(), {}, "parse").dump());
-    return;
-  }
-  // Journal before forwarding: even a register that sheds (whole owner
-  // set down) is replayable the moment an owner comes back.
-  journal_.record(print, name, std::string(line));
-  names_[name] = print;
-  fan_out(client, map_.replicas(print, options_.replicas), line, {});
-}
-
-void Replica_router::handle_batch(Client& client, const io::Json& doc,
-                                  std::string_view line) {
-  serve::Batch_op batch;
-  try {
-    batch = std::get<serve::Batch_op>(serve::parse_op(line));
-  } catch (const std::exception& error) {
-    transport_.send(client.id, serve::error_event(error.what(),
-                                                  string_field(doc, "id"),
-                                                  "parse")
-                                   .dump());
-    return;
-  }
-  transport_.send(client.id,
-                  serve::batch_event(batch.id, batch.requests.size()).dump());
-  const io::Json::Array& elements = doc.at("requests").as_array();
-  for (std::size_t index = 0; index < elements.size(); ++index) {
-    const std::string& sub_id = batch.requests[index].id;
-    io::Json forward_op;
-    forward_op.set("op", "optimize");
-    forward_op.set("id", sub_id);
-    for (const auto& [key, value] : elements[index].as_object()) {
-      if (key == "op" || key == "id") continue;
-      forward_op.set(key, value);
-    }
-    route_optimize(client, forward_op, sub_id, forward_op.dump());
-  }
-}
-
-bool Replica_router::resolve_instance(Client& client, const io::Json& doc,
-                                      const std::string& id,
-                                      std::uint64_t& print) {
-  const io::Json* instance = doc.find("instance");
-  if (instance == nullptr) {
-    transport_.send(
-        client.id,
-        serve::error_event("op needs an \"instance\"", id, "parse").dump());
-    return false;
-  }
-  if (!instance->is_string()) {
-    try {
-      print = document_fingerprint(*instance);
-    } catch (const std::exception& error) {
-      transport_.send(client.id,
-                      serve::error_event(error.what(), id, "parse").dump());
-      return false;
-    }
-    return true;
-  }
-  const auto found = names_.find(instance->as_string());
+template <typename Instance_op>
+std::optional<std::uint64_t> Replica_router::resolve_instance(
+    Client& client, const Instance_op& op, const std::string& id) {
+  if (op.inline_instance) return fingerprint_of(*op.inline_instance);
+  const auto found = names_.find(op.instance_name);
   if (found == names_.end()) {
     transport_.send(
         client.id,
-        serve::unknown_instance_event(instance->as_string(), id).dump());
-    return false;
+        serve::unknown_instance_event(op.instance_name, id).dump());
+    return std::nullopt;
   }
-  print = found->second;
-  return true;
+  return found->second;
 }
 
-void Replica_router::route_optimize(Client& client, const io::Json& doc,
-                                    const std::string& id,
+void Replica_router::route_optimize(Client& client,
+                                    const serve::Optimize_op& op,
                                     std::string_view line) {
-  std::uint64_t print = 0;
-  if (!resolve_instance(client, doc, id, print)) return;
-  std::vector<std::size_t> owners = map_.replicas(print, options_.replicas);
+  const auto print = resolve_instance(client, op, op.id);
+  if (!print) return;
+  std::vector<std::size_t> owners = map_.replicas(*print, options_.replicas);
   for (std::size_t index = 0; index < owners.size(); ++index) {
     if (!send_to(client, owners[index], line)) continue;
-    if (!id.empty()) {
-      Route route;
-      route.fingerprint = print;
-      route.owners = std::move(owners);
-      route.owner_index = index;
-      route.hops = index > 0 ? 1 : 0;
-      route.line = std::string(line);
-      client.routes[id] = std::move(route);
-    }
+    client.routes[op.id] = Route{*print, std::move(owners), index,
+                                 index > 0 ? 1u : 0u, std::string(line)};
     if (index > 0) {
       replica_failovers_.fetch_add(1, std::memory_order_relaxed);
     }
     return;
   }
-  shed(client, id, owners.front());
-}
-
-void Replica_router::handle_cancel(Client& client, const std::string& id,
-                                   std::string_view line) {
-  const auto route = client.routes.find(id);
-  if (route == client.routes.end()) {
-    transport_.send(client.id, serve::cancel_event(id, false).dump());
-    return;
-  }
-  const std::size_t shard = route->second.owners[route->second.owner_index];
-  client.routes.erase(route);
-  if (!send_to(client, shard, line)) shed(client, id, shard);
+  shed(client, op.id, owners.front());
 }
 
 void Replica_router::fan_out(Client& client,
                              const std::vector<std::size_t>& owners,
-                             std::string_view line, const std::string& id) {
+                             std::string_view line) {
   // The first reachable owner carries the client-visible ack; every
   // other owner gets the line best-effort over its replication feed.
   std::size_t acked = owners.size();
@@ -312,7 +233,7 @@ void Replica_router::fan_out(Client& client,
       replica_lag_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (acked == owners.size()) shed(client, id, owners.front());
+  if (acked == owners.size()) shed(client, {}, owners.front());
 }
 
 void Replica_router::handle_stats(Client& client, std::string_view line) {
@@ -341,29 +262,6 @@ void Replica_router::handle_stats(Client& client, std::string_view line) {
   for (const auto member : members) links_.at(member).merge_member = true;
   // A failed member's close settles its share of the merge.
   for (const auto member : members) send_on(member, line);
-}
-
-bool Replica_router::handle_shutdown(Client& client, std::string_view line) {
-  bool drain = false;
-  try {
-    drain = std::get<serve::Shutdown_op>(serve::parse_op(line)).drain;
-  } catch (const std::exception& error) {
-    transport_.send(client.id,
-                    serve::error_event(error.what(), {}, "parse").dump());
-    return true;
-  }
-  shutdown_.emplace();
-  shutdown_->client = client.id;
-  shutdown_->drain = drain;
-  for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
-    const serve::Connection_id link =
-        open_link(client.links[shard], shard, &client);
-    if (!send_on(link, line)) continue;
-    links_.at(link).shutdown_member = true;
-    ++shutdown_->pending;
-  }
-  if (shutdown_->pending == 0) finish_shutdown();
-  return false;
 }
 
 serve::Connection_id Replica_router::open_link(serve::Connection_id& slot,
@@ -442,53 +340,48 @@ void Replica_router::shed(Client& client, const std::string& id,
 
 void Replica_router::handle_backend_line(serve::Connection_id id,
                                          Link& link, std::string_view line) {
-  if (link.shutdown_member && fold_shutdown_event(link, line)) return;
+  serve::Event_head event;
+  try {
+    event = serve::read_event(line);
+  } catch (const std::exception&) {
+    // Unreadable: no kind, so it is forwarded verbatim.
+  }
+  if (link.shutdown_member && fold_shutdown_event(link, event, line)) return;
   if (link.client == nullptr) {
     // A feed or a departed client's link swallows its events; on a feed
     // each one makes room for the next journal line of a replay.
     replay_next(id, link);
     return;
   }
-  if (intercept(id, link, line)) return;
-  const std::string finished = result_event_id(line);
-  if (!finished.empty()) link.client->routes.erase(finished);
+  if (intercept(id, link, event, line)) return;
+  if (event.event == "result") link.client->routes.erase(event.id);
   transport_.send(link.client->id, line);
 }
 
 bool Replica_router::intercept(serve::Connection_id id, Link& link,
+                               const serve::Event_head& event,
                                std::string_view line) {
   Client& client = *link.client;
-  const bool error_like = starts_with(line, "{\"event\":\"error\"");
-  const bool registered_like = starts_with(line, "{\"event\":\"registered\"");
-  if (!link.merge_member && !error_like &&
-      !(registered_like && !link.repairs.empty())) {
-    return false;
-  }
-
-  io::Json event;
-  try {
-    event = io::Json::parse(line);
-  } catch (const std::exception&) {
-    return false;  // unparseable backend line: forward verbatim
-  }
-  const std::string kind = string_field(event, "event");
-
-  if (link.merge_member && kind == "stats") {
+  if (link.merge_member && event.event == "stats") {
+    io::Json stats;
+    try {
+      stats = io::Json::parse(line);
+    } catch (const std::exception&) {
+      return false;  // unparseable backend line: forward verbatim
+    }
     link.merge_member = false;
-    client.merge_events.push_back(std::move(event));
+    client.merge_events.push_back(std::move(stats));
     if (client.merge_events.size() >= client.merge_pending) {
       finish_merge(client);
     }
     return true;
   }
 
-  if (kind == "registered" && !link.repairs.empty()) {
+  if (event.event == "registered" && !link.repairs.empty()) {
     // Possibly the ack of a journal replay this router sent itself; the
     // client never asked, so it must not see it.
     std::uint64_t print = 0;
-    if (!store::parse_hex64(string_field(event, "fingerprint"), print)) {
-      return false;
-    }
+    if (!store::parse_hex64(event.fingerprint, print)) return false;
     const auto repair = link.repairs.find(print);
     if (repair == link.repairs.end()) return false;
     repairs_.fetch_add(1, std::memory_order_relaxed);
@@ -500,18 +393,15 @@ bool Replica_router::intercept(serve::Connection_id id, Link& link,
     return true;
   }
 
-  if (kind != "error") return false;
-  const std::string request_id = string_field(event, "id");
-  if (request_id.empty()) return false;
-  const auto found = client.routes.find(request_id);
+  if (event.event != "error" || event.id.empty()) return false;
+  const auto found = client.routes.find(event.id);
   if (found == client.routes.end() ||
       found->second.owners[found->second.owner_index] != link.shard) {
     return false;
   }
   Route& route = found->second;
-  const std::string code = string_field(event, "code");
 
-  if (code == "overloaded") {
+  if (event.code == "overloaded") {
     // The owning backend shed the request; another replica may have
     // room (and the same warm cache) — move it there silently.
     if (failover(client, route, link.shard)) return true;
@@ -519,7 +409,7 @@ bool Replica_router::intercept(serve::Connection_id id, Link& link,
     return false;  // no replica left: the client sees the shed
   }
 
-  if (code == "unknown-instance") {
+  if (event.code == "unknown-instance") {
     // A failover target (or freshly rejoined backend) is missing state
     // it owns: replay the journaled register on this same connection,
     // then re-send the op once the ack comes back — same link, so the
@@ -536,23 +426,23 @@ bool Replica_router::intercept(serve::Connection_id id, Link& link,
   return false;
 }
 
-bool Replica_router::fold_shutdown_event(Link& link, std::string_view line) {
-  const bool down = starts_with(line, "{\"event\":\"shutting-down\"");
-  if (!down && !starts_with(line, "{\"event\":\"shutdown-complete\"")) {
-    return false;
-  }
-  io::Json event;
+bool Replica_router::fold_shutdown_event(Link& link,
+                                         const serve::Event_head& event,
+                                         std::string_view line) {
+  const bool down = event.event == "shutting-down";
+  if (!down && event.event != "shutdown-complete") return false;
+  io::Json counts;
   try {
-    event = io::Json::parse(line);
+    counts = io::Json::parse(line);
   } catch (const std::exception&) {
     return false;
   }
   if (down) {
-    shutdown_->outstanding += number_field(event, "outstanding");
+    shutdown_->outstanding += number_field(counts, "outstanding");
     return true;
   }
-  shutdown_->completed += number_field(event, "completed");
-  shutdown_->cancelled += number_field(event, "cancelled");
+  shutdown_->completed += number_field(counts, "completed");
+  shutdown_->cancelled += number_field(counts, "cancelled");
   link.shutdown_member = false;
   if (--shutdown_->pending == 0) finish_shutdown();
   return true;
@@ -634,16 +524,14 @@ void Replica_router::finish_merge(Client& client) {
 
 void Replica_router::finish_shutdown() {
   if (shutdown_->client != 0) {
-    io::Json down;
-    down.set("event", "shutting-down");
-    down.set("outstanding", shutdown_->outstanding);
-    down.set("drain", shutdown_->drain);
-    transport_.send(shutdown_->client, down.dump());
-    io::Json done;
-    done.set("event", "shutdown-complete");
-    done.set("completed", shutdown_->completed);
-    done.set("cancelled", shutdown_->cancelled);
-    transport_.send(shutdown_->client, done.dump());
+    transport_.send(shutdown_->client,
+                    serve::shutting_down_event(shutdown_->outstanding,
+                                               shutdown_->drain)
+                        .dump());
+    transport_.send(shutdown_->client,
+                    serve::shutdown_complete_event(shutdown_->completed,
+                                                   shutdown_->cancelled)
+                        .dump());
   }
   shutdown_requested_ = true;
   transport_.stop();

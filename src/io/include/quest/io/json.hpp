@@ -139,8 +139,8 @@ class Json_reader {
   bool read_bool();
   void read_null();
   /// Consumes the next value whole, checking its grammar and numbers as
-  /// strictly as reading it would.
-  void skip_value();
+  /// strictly as reading it would; returns the value's text.
+  std::string_view skip_value();
 
   /// Requires that nothing but whitespace follows.
   void finish();

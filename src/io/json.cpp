@@ -300,30 +300,33 @@ void Json_reader::read_null() {
   pos_ += 4;
 }
 
-void Json_reader::skip_value() {
+std::string_view Json_reader::skip_value() {
   std::string_view key;
-  switch (peek()) {
+  const Kind kind = peek();
+  const std::size_t start = pos_;
+  switch (kind) {
     case Kind::object:
       begin_object();
       while (next_key(key)) skip_value();
-      return;
+      break;
     case Kind::array:
       begin_array();
       while (next_element()) skip_value();
-      return;
+      break;
     case Kind::string:
       scan_string();
-      return;
+      break;
     case Kind::number:
       scan_number();
-      return;
+      break;
     case Kind::boolean:
       read_bool();
-      return;
+      break;
     case Kind::null:
       read_null();
-      return;
+      break;
   }
+  return text_.substr(start, pos_ - start);
 }
 
 void Json_reader::finish() {

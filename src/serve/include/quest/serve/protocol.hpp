@@ -42,8 +42,8 @@
 //    "warm_seeded":...,"warm_cost":...?}
 //   {"event":"batch-admitted","id":...,"count":...}
 //   {"event":"stats", ...counters...}
-//   {"event":"shutting-down","outstanding":...} then
-//   {"event":"shutdown-complete","completed":...}
+//   {"event":"shutting-down","outstanding":...,"drain":...} then
+//   {"event":"shutdown-complete","completed":...,"cancelled":...}
 //   {"event":"error","code":...?,"id":...?,"message":...}
 //
 // Every malformed line or op yields an "error" event (with the request id
@@ -63,12 +63,19 @@
 //                      and retries on the client's behalf.
 //
 // Human-readable "message" text is never a contract; "code" is.
+//
+// This module is the one codec on both sides of quest_router: the server
+// and the router front every client line with decode_line (so a refusal
+// is the same bytes through either), the router reads backend events
+// with read_event, and both build events, the shutdown pair included,
+// with the *_event functions below.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -176,12 +183,46 @@ using Op = std::variant<Register_op, Optimize_op, Batch_op, Cancel_op,
 inline constexpr std::size_t k_max_batch_requests = 1024;
 
 /// Parses one client line. Throws Parse_error on malformed JSON, an
-/// unknown "op", wrong field types, or invalid budgets — the server turns
-/// that into a typed "error" event (code "parse"). The line is decoded
-/// straight into the op by io::Json_reader, with no Json built: members
-/// may come in any order ("op" too), unknown members are skipped after a
-/// grammar check, and of duplicate keys the first wins, as Json::find.
+/// unknown "op", wrong field types, or invalid budgets — decode_line
+/// turns that into a typed "error" event (code "parse"). The line is
+/// decoded straight into the op by io::Json_reader, with no Json built:
+/// members may come in any order ("op" too), unknown members are skipped
+/// after a grammar check, and of duplicate keys the first wins, as
+/// Json::find.
 Op parse_op(std::string_view line);
+
+/// Each element of the optimize_batch `line` (decoded as `batch`) as an
+/// optimize line: the client's element bytes behind an
+/// {"op":"optimize","id":<its id>, prefix, which wins as the first of
+/// duplicate keys.
+std::vector<std::string> batch_element_lines(std::string_view line,
+                                             const Batch_op& batch);
+
+/// One client line, decoded: `op`, or the "parse"-coded `refusal` (with
+/// the request id when the line is a JSON object whose first "id" is a
+/// string), or neither for a blank keep-alive line.
+struct Decoded_line {
+  std::optional<Op> op;
+  std::optional<io::Json> refusal;
+};
+Decoded_line decode_line(std::string_view line);
+
+/// What an event line is routed by: its "event" kind and, of "id",
+/// "code" and "fingerprint", those the kind carries ("id": admitted,
+/// incumbent, result, cancel-requested, batch-admitted, error; "code":
+/// error; "fingerprint": registered, observed, refit). The others read
+/// empty, as does a member that is absent or not a string.
+struct Event_head {
+  std::string event;
+  std::string id;
+  std::string code;
+  std::string fingerprint;
+};
+
+/// Reads the top-level members, the first of each key as Json::find,
+/// only until it has those the kind carries. Throws Parse_error when the
+/// line is no JSON object or the part read is malformed.
+Event_head read_event(std::string_view line);
 
 /// Event builders (the server's half of the protocol).
 io::Json registered_event(const std::string& name, std::size_t services,
@@ -210,6 +251,9 @@ io::Json unknown_instance_event(const std::string& name,
 /// The typed "line-overflow" error for a request line past the cap —
 /// one builder for the session layer and the router.
 io::Json line_overflow_event(std::size_t max_line_bytes);
+/// The pair that answers a shutdown op (the router's sums its backends').
+io::Json shutting_down_event(double outstanding, bool drain);
+io::Json shutdown_complete_event(double completed, double cancelled);
 
 /// The shared "result" event shape — one builder so the cached and
 /// fresh-run paths cannot drift apart. `stats` may be nullptr (cached

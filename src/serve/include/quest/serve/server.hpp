@@ -203,8 +203,9 @@ class Server {
   /// up promptly) and suppresses its further events. Idempotent.
   void close_session(const Session_ptr& session);
 
-  /// Parses and dispatches one protocol line for one session. Never
-  /// throws: malformed input becomes a typed "error" event. Returns
+  /// Decodes (decode_line) and dispatches one protocol line for one
+  /// session. Never throws: malformed input becomes a typed "error"
+  /// event. Returns
   /// false once a shutdown op was processed (the transport loop should
   /// stop reading).
   bool handle_line(const Session_ptr& session, std::string_view line);

@@ -1,5 +1,7 @@
 #include "quest/serve/protocol.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -342,6 +344,21 @@ Op read_op(io::Json_reader& in, const std::string& kind) {
                     "cancel, observe, refit, stats, or shutdown)");
 }
 
+// Bits of read_event's members, in the order of Event_head.
+constexpr unsigned k_event = 1, k_id = 2, k_code = 4, k_fingerprint = 8;
+
+/// The members besides "event" that an event of `kind` carries.
+unsigned carried_members(std::string_view kind) {
+  if (kind == "error") return k_id | k_code;
+  if (kind == "registered" || kind == "observed" || kind == "refit") {
+    return k_fingerprint;
+  }
+  const bool with_id = kind == "admitted" || kind == "incumbent" ||
+                       kind == "result" || kind == "cancel-requested" ||
+                       kind == "batch-admitted";
+  return with_id ? k_id : 0;
+}
+
 }  // namespace
 
 Op parse_op(std::string_view line) {
@@ -350,6 +367,77 @@ Op parse_op(std::string_view line) {
   Op op = read_op(in, kind);
   in.finish();
   return op;
+}
+
+std::vector<std::string> batch_element_lines(std::string_view line,
+                                             const Batch_op& batch) {
+  std::vector<std::string> lines;
+  io::Json_reader in(line);
+  io::read_object(in, {"requests"}, [&](std::string_view) {
+    in.begin_array();
+    while (in.next_element()) {
+      const std::string_view element = in.skip_value();
+      std::string& forward = lines.emplace_back(R"({"op":"optimize","id":)");
+      forward += io::Json(batch.requests.at(lines.size() - 1).id).dump();
+      forward += ',';
+      forward.append(element.substr(1));  // past the element's '{'
+    }
+  });
+  return lines;
+}
+
+Decoded_line decode_line(std::string_view line) {
+  if (line.find_first_not_of(" \t\r\n") == std::string_view::npos) {
+    return {};  // blank keep-alive
+  }
+  try {
+    return {parse_op(line), std::nullopt};
+  } catch (const std::exception& error) {
+    // Any std::exception (bad_alloc from a huge document, ...): a
+    // long-lived daemon must not die because one line was hostile. The
+    // salvaged request id lets the client correlate.
+    std::string id;
+    try {
+      io::Json_reader in(line);
+      io::read_object(in, {"id"},
+                      [&](std::string_view) { id = in.read_string(); });
+      in.finish();
+    } catch (const std::exception&) {
+      id.clear();  // not one JSON object, or its first "id" no string
+    }
+    return {std::nullopt, error_event(error.what(), id, "parse")};
+  }
+}
+
+Event_head read_event(std::string_view line) {
+  static constexpr std::string_view k_keys[] = {"event", "id", "code",
+                                                "fingerprint"};
+  Event_head head;
+  std::string* const values[] = {&head.event, &head.id, &head.code,
+                                 &head.fingerprint};
+  unsigned seen = 0;
+  unsigned wanted = k_event;  // then also the members its kind carries
+  io::Json_reader in(line);
+  in.begin_object();
+  std::string_view key;
+  while ((seen & wanted) != wanted && in.next_key(key)) {
+    const auto member = static_cast<std::size_t>(
+        std::find(std::begin(k_keys), std::end(k_keys), key) - k_keys);
+    const unsigned bit = 1u << member;
+    if ((seen & bit) == 0 && member < std::size(k_keys) &&
+        in.peek() == Kind::string) {
+      *values[member] = in.read_string();
+    } else {
+      in.skip_value();
+    }
+    seen |= bit;
+    if (bit == k_event) wanted |= carried_members(head.event);
+  }
+  // Members read before the kind was known that it does not carry.
+  for (std::size_t member = 1; member < std::size(k_keys); ++member) {
+    if ((wanted & (1u << member)) == 0) values[member]->clear();
+  }
+  return head;
 }
 
 io::Json registered_event(const std::string& name, std::size_t services,
@@ -440,6 +528,22 @@ io::Json line_overflow_event(std::size_t max_line_bytes) {
   return error_event("request line exceeds " + std::to_string(max_line_bytes) +
                          " bytes and was discarded",
                      {}, "line-overflow");
+}
+
+io::Json shutting_down_event(double outstanding, bool drain) {
+  io::Json event;
+  event.set("event", io::Json("shutting-down"));
+  event.set("outstanding", io::Json(outstanding));
+  event.set("drain", io::Json(drain));
+  return event;
+}
+
+io::Json shutdown_complete_event(double completed, double cancelled) {
+  io::Json event;
+  event.set("event", io::Json("shutdown-complete"));
+  event.set("completed", io::Json(completed));
+  event.set("cancelled", io::Json(cancelled));
+  return event;
 }
 
 io::Json result_event(const std::string& id, opt::Termination termination,

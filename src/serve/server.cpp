@@ -166,27 +166,9 @@ bool Server::handle(Op op) { return handle(default_session_, std::move(op)); }
 
 bool Server::handle_line(const Session_ptr& session, std::string_view line) {
   QUEST_EXPECTS(session != nullptr, "handle_line needs a session");
-  const auto content = line.find_first_not_of(" \t\r\n");
-  if (content == std::string_view::npos) return true;  // blank keep-alive
-  try {
-    return handle(session, parse_op(line));
-  } catch (const std::exception& error) {
-    // quest::Error for protocol violations, but also any std::exception
-    // (bad_alloc from a huge document, ...): a long-lived daemon must
-    // not die because one line was hostile.
-    // Try to salvage the request id so the client can correlate.
-    std::string id;
-    try {
-      const io::Json op = io::Json::parse(line);
-      if (const io::Json* field = op.find("id");
-          field != nullptr && field->is_string()) {
-        id = field->as_string();
-      }
-    } catch (const std::exception&) {
-    }
-    emit(*session, error_event(error.what(), id, "parse"));
-    return true;
-  }
+  Decoded_line decoded = decode_line(line);
+  if (decoded.refusal) emit(*session, *decoded.refusal);
+  return !decoded.op || handle(session, std::move(*decoded.op));
 }
 
 bool Server::handle(const Session_ptr& session, Op op) {
@@ -197,18 +179,14 @@ bool Server::handle(const Session_ptr& session, Op op) {
       std::lock_guard<std::mutex> lock(mutex_);
       outstanding = active_.size();
     }
-    io::Json event;
-    event.set("event", io::Json("shutting-down"));
-    event.set("outstanding", io::Json(outstanding));
-    event.set("drain", io::Json(request->drain));
-    emit(*session, event);
+    emit(*session, shutting_down_event(static_cast<double>(outstanding),
+                                       request->drain));
     shutdown(/*cancel_in_flight=*/!request->drain);
     io::Json done;
-    done.set("event", io::Json("shutdown-complete"));
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      done.set("completed", io::Json(static_cast<double>(completed_)));
-      done.set("cancelled", io::Json(static_cast<double>(cancelled_)));
+      done = shutdown_complete_event(static_cast<double>(completed_),
+                                     static_cast<double>(cancelled_));
     }
     emit(*session, done);
     return false;

@@ -1,9 +1,8 @@
-// The router's backend helpers: the merged-stats algebra (counters
-// summed, uptime maxed, the nested cache object summed fieldwise, the
-// fleet-shape and replication fields always present) and the result-id
-// peek that retires routes. Dialing and forwarding are exercised end to
-// end by the serve/router_smoke and serve/replication_smoke ctest
-// entries (scripts/loadgen.py --router).
+// The router's merged-stats algebra: counters summed, uptime maxed, the
+// nested cache object summed fieldwise, the fleet-shape and replication
+// fields always present. Dialing and forwarding are exercised end to end
+// by the serve/router_smoke and serve/replication_smoke ctest entries
+// (scripts/loadgen.py --router).
 
 #include "quest/cluster/backend.hpp"
 
@@ -110,18 +109,6 @@ TEST(Backend_test, ReplicationFieldsCarryTheRouterCounters) {
   ASSERT_GE(fields.size(), 5u);
   EXPECT_EQ(fields[fields.size() - 5].first, "replicas");
   EXPECT_EQ(fields.back().first, "replica_lag");
-}
-
-TEST(Backend_test, ResultEventIdPeeksOnlyPlainResultIds) {
-  EXPECT_EQ(cluster::result_event_id(
-                R"({"event":"result","id":"c1/7","cost":1.5})"),
-            "c1/7");
-  // Not a result, an escaped id, or a truncated line: keep the route.
-  EXPECT_EQ(cluster::result_event_id(R"({"event":"admitted","id":"c1"})"),
-            "");
-  EXPECT_EQ(cluster::result_event_id(R"({"event":"result","id":"a\"b"})"),
-            "");
-  EXPECT_EQ(cluster::result_event_id(R"({"event":"result","id":"cut)"), "");
 }
 
 }  // namespace

@@ -5,15 +5,20 @@
 // promises: a drain shutdown delivers every drained result before the
 // merged pair and reports the backends' counts, also when the requester
 // leaves at once; a backend that stops reading costs only its own keys;
-// and the thread count does not grow with clients. The kill -9 / rejoin
-// behaviour is process-level and lives in serve/router_smoke and
-// serve/replication_smoke (scripts/loadgen.py). Every wait is bounded,
-// so a broken router fails these tests instead of hanging them.
+// and the thread count does not grow with clients. It also pins that the
+// router is transparent where it answers for the server: every line the
+// server refuses or ignores gets the server's bytes, and a finished
+// request stays finished, whatever its id, when its owner dies. The
+// kill -9 / rejoin behaviour is process-level and lives in
+// serve/router_smoke and serve/replication_smoke (scripts/loadgen.py).
+// Every wait is bounded, so a broken router fails these tests instead of
+// hanging them.
 
 #include "quest/cluster/replica_router.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -22,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "quest/common/error.hpp"
 #include "quest/common/timer.hpp"
@@ -327,6 +333,99 @@ TEST(Replica_router_test, AStuckBackendCostsOnlyItsOwnKeys) {
       },
       10.0);
   EXPECT_EQ(shed, sent);
+}
+
+/// The event lines `client` reads up to and including the answer to the
+/// cancel of `sync`.
+std::vector<std::string> lines_through(Client& client,
+                                       const std::string& sync) {
+  std::vector<std::string> lines;
+  for (;;) {
+    std::string line = client.read_line(10.0);
+    if (line.empty()) return lines;  // the read failed the test
+    const io::Json event = io::Json::parse(line);
+    lines.push_back(std::move(line));
+    const io::Json* id = event.find("id");
+    if (event.at("event").as_string() == "cancel-requested" &&
+        id != nullptr && id->as_string() == sync) {
+      return lines;
+    }
+  }
+}
+
+TEST(Replica_router_test, AnswersEveryRefusedOrBlankLineAsTheServerDoes) {
+  std::vector<std::string> lines;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(QUEST_PROTOCOL_CORPUS)) {
+    std::string line = io::read_file(entry.path().string());
+    if (!line.empty() && line.back() == '\n') line.pop_back();
+    lines.push_back(std::move(line));
+  }
+  ASSERT_GE(lines.size(), 16u) << "protocol corpus went missing";
+  std::sort(lines.begin(), lines.end());
+  lines.push_back(" \t ");
+  // Valid JSON naming an instance no one registered, refused for its
+  // budget: the refusal comes first, with its id.
+  lines.push_back(
+      R"({"op":"optimize","id":"r","instance":"nope",)"
+      R"("budget":{"node_limit":-1}})");
+
+  Stack lone;
+  Stack shard0;
+  Stack shard1;
+  Router router(fleet({shard0.address(), shard1.address()}));
+  Client direct(lone.port());
+  Client routed(router.port());
+  for (std::size_t index = 0; index < lines.size(); ++index) {
+    const std::string sync = "sync" + std::to_string(index);
+    const std::string cancel = R"({"op":"cancel","id":")" + sync + "\"}";
+    for (Client* client : {&direct, &routed}) {
+      client->send_line(lines[index]);
+      client->send_line(cancel);
+    }
+    const std::vector<std::string> server = lines_through(direct, sync);
+    const std::vector<std::string> through_router =
+        lines_through(routed, sync);
+    ASSERT_FALSE(server.empty());
+    EXPECT_EQ(through_router, server) << "line: " << lines[index];
+  }
+}
+
+TEST(Replica_router_test, AFinishedRequestStaysFinishedWhenItsOwnerDies) {
+  // An id the writer escapes: the route must still retire on its result.
+  const std::string id = "a\"b";
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("R=" + std::to_string(replicas));
+    Stack shard0;
+    Stack shard1;
+    Replica_options options = fleet({shard0.address(), shard1.address()});
+    options.replicas = replicas;
+    Router router(options);
+    Client client(router.port());
+    client.send_line(R"({"op":"optimize","id":"a\"b","instance":)" +
+                     document_on(0, 8, 1, options) +
+                     R"(,"optimizer":"bnb"})");
+    ASSERT_TRUE(client.wait_event("result", id, 10.0).is_object());
+
+    // The router answers the stats only once it has handled the link's
+    // close (until then the link owes the merge its share), so any
+    // answer that close sets off for the finished request — a shed at
+    // R=1, a failover at R=2 — comes before that answer or soon after.
+    shard0.stop();
+    client.send_line(R"({"op":"stats"})");
+    bool answered = false;
+    for (;;) {
+      const std::string line = client.read_line(answered ? 0.5 : 10.0,
+                                                /*quiet=*/answered);
+      if (line.empty()) break;
+      const io::Json event = io::Json::parse(line);
+      const io::Json* event_id = event.find("id");
+      EXPECT_FALSE(event_id != nullptr && event_id->as_string() == id)
+          << "answered again: " << line;
+      if (event.at("event").as_string() == "stats") answered = true;
+    }
+    EXPECT_TRUE(answered) << "no stats answer";
+  }
 }
 
 TEST(Replica_router_test, ThreadCountDoesNotGrowWithClients) {

@@ -1,8 +1,10 @@
 // Fuzz-style robustness tests: the JSON parser must either parse or throw
-// Parse_error — never crash, hang, or accept garbage silently.
+// Parse_error — never crash, hang, or accept garbage silently. A
+// checked-in corpus of grammar refusals rides along.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "quest/common/rng.hpp"
@@ -102,6 +104,20 @@ TEST(Json_fuzz, DeeplyNestedMixedStructures) {
     for (int i = 0; i < depth; ++i) text += "]}";
     try_parse(text);  // must not overflow the stack either way
   }
+}
+
+TEST(Json_fuzz, CheckedInCorpusIsRefused) {
+  // Texts a lax parser would take: each file must be refused whole.
+  const std::filesystem::path corpus(QUEST_JSON_CORPUS);
+  ASSERT_TRUE(std::filesystem::is_directory(corpus));
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (!entry.is_regular_file()) continue;
+    ++files;
+    const std::string text = io::read_file(entry.path().string());
+    EXPECT_THROW(Json::parse(text), Parse_error) << entry.path();
+  }
+  EXPECT_GE(files, 12u) << "JSON fuzz corpus went missing";
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // decoded. The mutations follow tests/store/snapshot_test.cpp: every bit
 // flip and every truncation of real optimize, register, batch and observe
 // lines, member reorders, duplicate keys, and seeded structural edits;
-// a checked-in corpus of lines that must be refused rides along.
+// a checked-in corpus of lines that must be refused rides along. The
+// router's event reader, serve::read_event, gets every bit flip and
+// truncation of every *_event function's output under the same contract:
+// Parse_error or an answer, and on valid JSON the DOM's answer.
 
 #include <gtest/gtest.h>
 
@@ -370,6 +373,120 @@ TEST(Protocol_fuzz, SeededStructuralMutationsNeverEscapeTheContract) {
     }
     decode(mutated, "structural round " + std::to_string(round) + ": " +
                         mutated);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// The output of every *_event function, with ids the writer escapes.
+std::vector<std::string> event_lines() {
+  const model::Plan plan(std::vector<model::Service_id>{2, 0, 1});
+  opt::Search_stats stats;
+  std::vector<std::string> lines;
+  for (const std::string id : {"r1", "a\"b\\c\x01\xc3\xa9"}) {
+    for (const Json& event : {
+             serve::registered_event(id, 3, 0xfeedull, true),
+             serve::admitted_event(id, 2),
+             serve::incumbent_event(id, 1.5, 0.25, plan),
+             serve::result_event(id, opt::Termination::optimal, plan, 1.5,
+                                 true, true, false, false,
+                                 "sequential/independent", 0.5, &stats),
+             serve::result_event(id, opt::Termination::cancelled,
+                                 model::Plan(), 0.0, false, false, true,
+                                 false, "sequential/independent", 0.0,
+                                 nullptr),
+             serve::cancel_event(id, false),
+             serve::observed_event(0xbeefull, 4, 1),
+             serve::batch_event(id, 3),
+             serve::error_event("boom"),
+             serve::error_event("boom", id),
+             serve::error_event("boom", {}, "parse"),
+             serve::error_event("boom", id, "parse"),
+             serve::overloaded_event(id, 4, 4),
+             serve::unknown_instance_event("prod", id),
+             serve::line_overflow_event(64),
+             serve::shutting_down_event(2, true),
+             serve::shutdown_complete_event(2, 0),
+         }) {
+      lines.push_back(event.dump());
+    }
+  }
+  return lines;
+}
+
+/// What read_event must report for an object Json::parse accepted: the
+/// DOM's first "event", and of "id", "code" and "fingerprint" those the
+/// kind carries — each when it is a string, else empty.
+serve::Event_head expected_head(const Json& dom) {
+  const auto string_at = [&dom](const char* key) {
+    const Json* field = dom.find(key);
+    return field != nullptr && field->is_string() ? field->as_string()
+                                                  : std::string();
+  };
+  serve::Event_head head;
+  head.event = string_at("event");
+  const std::string& kind = head.event;
+  if (kind == "error" || kind == "admitted" || kind == "incumbent" ||
+      kind == "result" || kind == "cancel-requested" ||
+      kind == "batch-admitted") {
+    head.id = string_at("id");
+  }
+  if (kind == "error") head.code = string_at("code");
+  if (kind == "registered" || kind == "observed" || kind == "refit") {
+    head.fingerprint = string_at("fingerprint");
+  }
+  return head;
+}
+
+/// Runs read_event on `line` under its contract: it returns or throws
+/// Parse_error, and on a line Json::parse accepts it agrees with the DOM.
+void read_event_under_contract(const std::string& line,
+                               const std::string& what) {
+  std::optional<serve::Event_head> head;
+  try {
+    head = serve::read_event(line);
+  } catch (const Parse_error&) {
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << what << ": read_event threw something other than "
+                  << "Parse_error: " << error.what();
+    return;
+  }
+  Json dom;
+  try {
+    dom = Json::parse(line);
+  } catch (const Parse_error&) {
+    return;  // only part of a malformed line is read: either outcome
+  }
+  if (!dom.is_object()) {
+    EXPECT_FALSE(head.has_value()) << what << ": read a non-object";
+    return;
+  }
+  ASSERT_TRUE(head.has_value())
+      << what << ": read_event refused a line Json::parse accepts";
+  const serve::Event_head expected = expected_head(dom);
+  EXPECT_EQ(head->event, expected.event) << what;
+  EXPECT_EQ(head->id, expected.id) << what;
+  EXPECT_EQ(head->code, expected.code) << what;
+  EXPECT_EQ(head->fingerprint, expected.fingerprint) << what;
+}
+
+TEST(Protocol_fuzz, EventReaderUnderEveryBitFlipAndTruncation) {
+  for (const std::string& pristine : event_lines()) {
+    read_event_under_contract(pristine, pristine);
+    for (std::size_t at = 0; at < pristine.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutated = pristine;
+        mutated[at] = static_cast<char>(
+            static_cast<unsigned char>(mutated[at]) ^ (1u << bit));
+        read_event_under_contract(
+            mutated, "flip of bit " + std::to_string(bit) + " at byte " +
+                         std::to_string(at) + " of " + pristine);
+      }
+    }
+    for (std::size_t cut = 0; cut < pristine.size(); ++cut) {
+      read_event_under_contract(pristine.substr(0, cut),
+                                "prefix length " + std::to_string(cut) +
+                                    " of " + pristine);
+    }
     if (::testing::Test::HasFailure()) return;
   }
 }

@@ -1,13 +1,17 @@
 // The quest_serve wire protocol codec: op parsing (happy paths, defaults,
-// malformed input diagnostics) and event shapes.
+// malformed input diagnostics), the shared line front (decode_line) and
+// batch split, event shapes, and the event reader over every event.
 
 #include "quest/serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <variant>
+#include <vector>
 
+#include "quest/io/fingerprint.hpp"
 #include "quest/io/instance_io.hpp"
 #include "support/helpers.hpp"
 
@@ -240,6 +244,143 @@ TEST(Protocol_test, EventShapes) {
   EXPECT_EQ(unknown_instance_event("prod").find("id"), nullptr);
   EXPECT_EQ(unknown_instance_event("prod").at("code").as_string(),
             "unknown-instance");
+}
+
+TEST(Protocol_test, DecodeLineIgnoresBlankLinesAndRefusesWithTheId) {
+  for (const char* blank : {"", " ", "\t\r\n "}) {
+    const Decoded_line decoded = decode_line(blank);
+    EXPECT_FALSE(decoded.op.has_value()) << '"' << blank << '"';
+    EXPECT_FALSE(decoded.refusal.has_value()) << '"' << blank << '"';
+  }
+
+  const Decoded_line accepted = decode_line(R"({"op":"stats"})");
+  ASSERT_TRUE(accepted.op.has_value());
+  EXPECT_TRUE(std::holds_alternative<Stats_op>(*accepted.op));
+  EXPECT_FALSE(accepted.refusal.has_value());
+
+  // The refusal carries the id whenever the line is one JSON object whose
+  // first "id" member is a string.
+  const auto refused_id = [](std::string_view line) {
+    const Decoded_line decoded = decode_line(line);
+    EXPECT_FALSE(decoded.op.has_value()) << line;
+    if (!decoded.refusal) {
+      ADD_FAILURE() << "not refused: " << line;
+      return std::string("<accepted>");
+    }
+    EXPECT_EQ(decoded.refusal->at("event").as_string(), "error");
+    EXPECT_EQ(decoded.refusal->at("code").as_string(), "parse");
+    const io::Json* id = decoded.refusal->find("id");
+    return id == nullptr ? std::string() : id->as_string();
+  };
+  EXPECT_EQ(refused_id(R"({"op":"optimize","id":"r","instance":"x",)"
+                       R"("seed":-1})"),
+            "r");
+  EXPECT_EQ(refused_id(R"({"id":"a\"b","op":"frobnicate"})"), "a\"b");
+  EXPECT_EQ(refused_id(R"({"op":"cancel","id":"first","id":"second",)"
+                       R"("x":01})"),
+            "");  // not JSON
+  EXPECT_EQ(refused_id(R"({"op":"frobnicate","id":"first","id":"second"})"),
+            "first");
+  EXPECT_EQ(refused_id(R"({"op":"frobnicate","id":7,"id":"second"})"), "");
+  EXPECT_EQ(refused_id(R"(["op","id"])"), "");
+  EXPECT_EQ(refused_id(R"({"op":"frobnicate","id":"r"} trailing)"), "");
+}
+
+TEST(Protocol_test, BatchElementLinesForwardTheClientsBytes) {
+  const std::string line =
+      R"({"op":"optimize_batch","id":"b\"1","requests":[)"
+      R"({"instance":"prod", "seed" : 4},)"
+      R"( {"op":"stats","id":"named","instance":"prod","optimizer":"dp"}]})";
+  const auto batch = std::get<Batch_op>(parse_op(line));
+  const std::vector<std::string> elements = batch_element_lines(line, batch);
+  ASSERT_EQ(elements.size(), 2u);
+  EXPECT_EQ(elements[0],
+            R"({"op":"optimize","id":"b\"1/0","instance":"prod", "seed" : 4})");
+  EXPECT_EQ(elements[1],
+            R"({"op":"optimize","id":"named","op":"stats","id":"named",)"
+            R"("instance":"prod","optimizer":"dp"})");
+  // Each decodes as the optimize the batch decoded it as.
+  for (std::size_t index = 0; index < elements.size(); ++index) {
+    const auto element = std::get<Optimize_op>(parse_op(elements[index]));
+    EXPECT_EQ(element.id, batch.requests[index].id);
+    EXPECT_EQ(element.instance_name, batch.requests[index].instance_name);
+    EXPECT_EQ(element.optimizer, batch.requests[index].optimizer);
+    EXPECT_EQ(element.seed, batch.requests[index].seed);
+  }
+}
+
+/// One event line and the members read_event must read back from it.
+struct Built_event {
+  io::Json event;
+  Event_head head;
+};
+
+/// The output of every *_event function, called with `id` wherever one
+/// takes a request id (and as the registered name).
+std::vector<Built_event> built_events(const std::string& id) {
+  const model::Plan plan(std::vector<model::Service_id>{2, 0, 1});
+  opt::Search_stats stats;
+  stats.nodes_expanded = 12;
+  const std::uint64_t print = 0x0123456789abcdefull;
+  const std::string hex = io::hex64(print);
+  return {
+      {registered_event(id, 3, print, false), {"registered", "", "", hex}},
+      {admitted_event(id, 2), {"admitted", id, "", ""}},
+      {incumbent_event(id, 1.5, 0.25, plan), {"incumbent", id, "", ""}},
+      {result_event(id, opt::Termination::optimal, plan, 1.5, true, true,
+                    false, false, "sequential/independent", 0.5, &stats),
+       {"result", id, "", ""}},
+      {result_event(id, opt::Termination::cancelled, model::Plan(), 0.0,
+                    false, false, true, false, "sequential/independent", 0.0,
+                    nullptr),
+       {"result", id, "", ""}},
+      {cancel_event(id, true), {"cancel-requested", id, "", ""}},
+      {observed_event(print, 4, 1), {"observed", "", "", hex}},
+      {batch_event(id, 3), {"batch-admitted", id, "", ""}},
+      {error_event("boom"), {"error", "", "", ""}},
+      {error_event("boom", id), {"error", id, "", ""}},
+      {error_event("boom", {}, "parse"), {"error", "", "parse", ""}},
+      {error_event("boom", id, "parse"), {"error", id, "parse", ""}},
+      {overloaded_event(id, 4, 4), {"error", id, "overloaded", ""}},
+      {unknown_instance_event("prod", id),
+       {"error", id, "unknown-instance", ""}},
+      {line_overflow_event(64), {"error", "", "line-overflow", ""}},
+      {shutting_down_event(2, true), {"shutting-down", "", "", ""}},
+      {shutdown_complete_event(2, 0), {"shutdown-complete", "", "", ""}},
+  };
+}
+
+TEST(Protocol_test, ReadEventReadsBackWhatEveryEventCarries) {
+  // Ids the writer escapes or passes through: a quote, a backslash, a
+  // control character and non-ASCII bytes.
+  for (const std::string id :
+       {"r1", "a\"b", "back\\slash", "bell\x07", "caf\xc3\xa9/\xe2\x9c\x93"}) {
+    for (const Built_event& built : built_events(id)) {
+      const std::string line = built.event.dump();
+      const Event_head head = read_event(line);
+      EXPECT_EQ(head.event, built.head.event) << line;
+      EXPECT_EQ(head.id, built.head.id) << line;
+      EXPECT_EQ(head.code, built.head.code) << line;
+      EXPECT_EQ(head.fingerprint, built.head.fingerprint) << line;
+    }
+  }
+}
+
+TEST(Protocol_test, ReadEventTakesTheFirstMemberInAnyOrder) {
+  const Event_head late =
+      read_event(R"({"code":"parse","id":"x","id":"y","event":"error"})");
+  EXPECT_EQ(late.event, "error");
+  EXPECT_EQ(late.id, "x");
+  EXPECT_EQ(late.code, "parse");
+  // A member the kind does not carry reads empty, wherever it stands.
+  const Event_head result =
+      read_event(R"({"code":"parse","event":"result","id":"r"})");
+  EXPECT_EQ(result.id, "r");
+  EXPECT_EQ(result.code, "");
+  // Not a string: empty.
+  EXPECT_EQ(read_event(R"({"event":"admitted","id":7})").id, "");
+  EXPECT_THROW(read_event("[1]"), Parse_error);
+  EXPECT_THROW(read_event(R"({"event":"res)"), Parse_error);
 }
 
 }  // namespace
