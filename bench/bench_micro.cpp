@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths every experiment
 // leans on: full-plan cost evaluation, incremental append/pop, epsilon-bar
-// in both modes, the DP inner loop, RNG draws, JSON round-trips, and the
+// in both modes, the DP inner loop, the search kernels on the serving
+// benchmark's hard-search shape, RNG draws, JSON round-trips, and the
 // serving codec (an inline-document optimize line in, a result event out).
 
 #include <benchmark/benchmark.h>
 
 #include "quest/core/branch_and_bound.hpp"
+#include "quest/core/engines.hpp"
 #include "quest/core/measures.hpp"
 #include "quest/io/instance_io.hpp"
 #include "quest/model/cost.hpp"
@@ -56,13 +58,14 @@ void BM_epsilon_bar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto instance = bench_instance(n);
   const core::Epsilon_bar ebar(instance, model::Cost_model{}, mode);
+  const core::Transfer_rows rows(instance);
   model::Partial_plan_evaluator eval(instance);
   eval.append(0);
   eval.append(1);
   std::vector<model::Service_id> remaining;
   for (model::Service_id id = 2; id < n; ++id) remaining.push_back(id);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ebar.evaluate(eval, remaining));
+    benchmark::DoNotOptimize(ebar.evaluate(eval, remaining, rows));
   }
 }
 BENCHMARK_TEMPLATE(BM_epsilon_bar, core::Epsilon_bar_mode::exact)
@@ -109,6 +112,36 @@ void BM_dp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_dp)->Arg(10)->Arg(14);
+
+// The search kernels on hard-search's shape: a bottleneck-TSP reduction
+// under node_limit 4000, the budget servebench gives every search. One
+// engine per iteration, as a server job builds one.
+void run_btsp(benchmark::State& state, const char* spec) {
+  Rng rng(100);
+  workload::Bottleneck_tsp_spec btsp;
+  btsp.n = static_cast<std::size_t>(state.range(0));
+  const auto instance = workload::make_bottleneck_tsp(btsp, rng);
+  opt::Request request;
+  request.instance = &instance;
+  request.budget.node_limit = 4000;
+  request.seed = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::make_optimizer(spec)->optimize(request).cost);
+  }
+}
+
+void BM_frontier_btsp(benchmark::State& state) {
+  run_btsp(state, "frontier");
+}
+BENCHMARK(BM_frontier_btsp)->Arg(12)->Arg(14);
+
+void BM_portfolio_btsp(benchmark::State& state) {
+  run_btsp(state, "portfolio");
+}
+BENCHMARK(BM_portfolio_btsp)->Arg(12)->Arg(14);
+
+void BM_bnb_btsp(benchmark::State& state) { run_btsp(state, "bnb"); }
+BENCHMARK(BM_bnb_btsp)->Arg(12)->Arg(14);
 
 // Correlated-model counterparts: the overhead of conditional
 // selectivities on the same hot paths (the independent numbers above are

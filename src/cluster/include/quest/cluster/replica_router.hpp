@@ -28,7 +28,11 @@
 //    ids are never rewritten, so clients cannot tell a failover happened
 //    (beyond a possible duplicate "admitted" — delivery is at-least-once
 //    across a failover, never at-most-once). With no owner left the
-//    client gets the protocol's typed "overloaded" error.
+//    client gets the protocol's typed "overloaded" error. An optimize
+//    whose id the client still has routed is refused with the server's
+//    own duplicate-id error (serve::duplicate_id_event), so one id never
+//    runs twice; a route retires on the result or on any error from its
+//    current owner that the router does not act on itself.
 //  * repair — a backend answering a routed optimize with the typed
 //    "unknown-instance" error is missing state it owns; the router
 //    replays the journaled register on that same connection, swallows
@@ -253,7 +257,8 @@ class Replica_router {
   void shed(Client& client, const std::string& id, std::size_t shard);
 
   /// Reads the event's kind, id, code and fingerprint (serve::read_event)
-  /// to act on it; a result retires its route.
+  /// to act on it; a result, or a final error from the route's current
+  /// owner, retires its route.
   void handle_backend_line(serve::Connection_id id, Link& link,
                            std::string_view line);
   /// True when the line was intercepted (a stats event owed to a merge,

@@ -201,6 +201,12 @@ void Replica_router::route_optimize(Client& client,
                                     std::string_view line) {
   const auto print = resolve_instance(client, op, op.id);
   if (!print) return;
+  if (client.routes.contains(op.id)) {
+    // The server refuses an id its client still has in flight; an owner
+    // elsewhere on the ring would not know, so the router refuses too.
+    transport_.send(client.id, serve::duplicate_id_event(op.id).dump());
+    return;
+  }
   std::vector<std::size_t> owners = map_.replicas(*print, options_.replicas);
   for (std::size_t index = 0; index < owners.size(); ++index) {
     if (!send_to(client, owners[index], line)) continue;
@@ -401,12 +407,10 @@ bool Replica_router::intercept(serve::Connection_id id, Link& link,
   }
   Route& route = found->second;
 
-  if (event.code == "overloaded") {
-    // The owning backend shed the request; another replica may have
-    // room (and the same warm cache) — move it there silently.
-    if (failover(client, route, link.shard)) return true;
-    client.routes.erase(found);
-    return false;  // no replica left: the client sees the shed
+  // The owning backend shed the request; another replica may have room
+  // (and the same warm cache) — move it there silently.
+  if (event.code == "overloaded" && failover(client, route, link.shard)) {
+    return true;
   }
 
   if (event.code == "unknown-instance") {
@@ -415,14 +419,17 @@ bool Replica_router::intercept(serve::Connection_id id, Link& link,
     // then re-send the op once the ack comes back — same link, so the
     // backend observes register-then-optimize in order.
     const std::string register_line = journal_.line_for(route.fingerprint);
-    if (register_line.empty()) {
-      client.routes.erase(found);
-      return false;  // nothing journaled: the client sees the error
+    if (!register_line.empty()) {
+      link.repairs[route.fingerprint].push_back(route.line);
+      send_on(id, register_line);
+      return true;
     }
-    link.repairs[route.fingerprint].push_back(route.line);
-    send_on(id, register_line);
-    return true;
   }
+  // Any other error is the request's final answer (a shed with no
+  // replica left, an unknown instance with nothing journaled, a bad
+  // spec, a failed run): the client sees it and the route retires, so
+  // the owner's later death cannot answer the request again.
+  client.routes.erase(found);
   return false;
 }
 

@@ -6,7 +6,8 @@ namespace quest::core {
 
 Bound_provider::Bound_provider(const model::Instance& instance,
                                const model::Cost_model& model,
-                               const Bound_config& config) {
+                               const Bound_config& config)
+    : rows_(instance) {
   // Lemma-2 closure needs sound attainable-selectivity *upper* bounds
   // from the cost model; when they overflow the search falls back to
   // closure-disabled operation. The admissible lower bound only needs

@@ -11,10 +11,14 @@
 // (hi_sound), the lower bound only needs the always-finite lower bounds.
 // Lemma 1/3 need no bounds and stay exact regardless.
 //
+// Construction also builds the instance's Transfer_rows (every service's
+// outgoing links, presorted): the drivers expand children along them and
+// exact epsilon-bar walks them.
+//
 // A Bound_provider is immutable after construction and its evaluations
 // are stateless, so a single instance is shared read-only by every worker
-// of the parallel driver (bnb-par) — the bounds are computed once, not
-// once per thread.
+// of the parallel driver (bnb-par) — the bounds and the rows are computed
+// once, not once per thread.
 
 #pragma once
 
@@ -45,11 +49,14 @@ class Bound_provider {
   /// True when the admissible lower bound is armed.
   bool lower_bound_enabled() const noexcept { return lower_.has_value(); }
 
+  /// The instance's presorted outgoing links (see Transfer_rows).
+  const Transfer_rows& rows() const noexcept { return rows_; }
+
   /// Epsilon-bar for the partial plan held by `eval` (see Epsilon_bar).
   /// Precondition: closure_enabled().
   double epsilon_bar(const model::Partial_plan_evaluator& eval,
                      std::span<const model::Service_id> remaining) const {
-    return ebar_->evaluate(eval, remaining);
+    return ebar_->evaluate(eval, remaining, rows_);
   }
 
   /// Admissible lower bound on the undetermined terms (see Lower_bound).
@@ -60,6 +67,7 @@ class Bound_provider {
   }
 
  private:
+  Transfer_rows rows_;
   std::optional<Epsilon_bar> ebar_;
   std::optional<Lower_bound> lower_;
 };

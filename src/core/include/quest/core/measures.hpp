@@ -32,6 +32,7 @@
 #include <span>
 #include <vector>
 
+#include "quest/core/search_kernel.hpp"
 #include "quest/model/cost.hpp"
 #include "quest/model/cost_model.hpp"
 #include "quest/model/instance.hpp"
@@ -42,7 +43,10 @@ namespace quest::core {
 /// never under-estimate); tighter bounds trigger Lemma-2 closures earlier
 /// at a higher per-node price. Ablated in experiment E2/E4.
 enum class Epsilon_bar_mode {
-  /// T_u over the live remaining set: O(|R|^2) per evaluation.
+  /// T_u over the live remaining set, read off the presorted
+  /// Transfer_rows: each row is walked from its costly end to the first
+  /// unplaced service, so an evaluation costs O(|R|) row steps plus the
+  /// placed services skipped, not the O(|R|^2) of a pairwise scan.
   exact,
   /// T_u precomputed over all services: O(|R|) per evaluation, looser.
   loose,
@@ -66,9 +70,12 @@ class Epsilon_bar {
 
   /// Upper bound over every not-yet-determined stage term for the partial
   /// plan held by `eval`. `remaining` must list exactly the services not in
-  /// the plan and be non-empty; `eval` must use the same cost model.
+  /// the plan and be non-empty; `eval` must use the same cost model, and
+  /// `rows` must be built from the same instance (the dangling link, and
+  /// in exact mode each T_u, is read off them).
   double evaluate(const model::Partial_plan_evaluator& eval,
-                  std::span<const model::Service_id> remaining) const;
+                  std::span<const model::Service_id> remaining,
+                  const Transfer_rows& rows) const;
 
   Epsilon_bar_mode mode() const noexcept { return mode_; }
 

@@ -6,8 +6,10 @@
 //     branch-and-bound for selective workloads (E1), the frontier search
 //     near the bottleneck-TSP regime (E7), and the branch-and-bound with
 //     the admissible lower bound for expanding workloads (E11a) —
-//  3. runs it under the request's limits, falling back to the polished
-//     heuristic plan when the budget expires first.
+//  3. runs it under the request's limits with the phase-1 plan as its
+//     warm start (an upper bound every exact engine prunes against),
+//     falling back to the polished heuristic plan when the budget
+//     expires first.
 //
 // The profile-driven dispatch is exactly the guidance EXPERIMENTS.md
 // derives from E1/E4/E7; this class just encodes it.

@@ -18,15 +18,15 @@
 //     plumbing for parallel workers.
 //
 // Each driver owns private node state (evaluator, placed set, candidate
-// arena) and shares only the read-only Bound_provider — which is exactly
-// what makes K drivers over one instance race-free.
+// arena) and shares only the read-only Bound_provider and its
+// Transfer_rows — which is exactly what makes K drivers over one instance
+// race-free.
 
 #pragma once
 
 #include <algorithm>
 #include <limits>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "quest/common/error.hpp"
@@ -120,18 +120,14 @@ class Search_driver {
   /// build_pair_seeds list for this instance.
   void greedy_warm_start(std::span<const Pair_seed> pairs) {
     if (pairs.empty()) return;
-    const std::size_t n = instance_.size();
     append(pairs.front().a);
     append(pairs.front().b);
     while (!eval_.full()) {
       model::Service_id next = model::invalid_service;
-      double next_t = std::numeric_limits<double>::infinity();
-      for (model::Service_id u = 0; u < n; ++u) {
-        if (!feasible(u)) continue;
-        const double t = instance_.transfer(eval_.last(), u);
-        if (t < next_t) {
-          next_t = t;
-          next = u;
+      for (const Candidate& link : bounds_.rows().row(eval_.last())) {
+        if (feasible(link.id)) {
+          next = link.id;
+          break;
         }
       }
       QUEST_ASSERT(next != model::invalid_service,
@@ -243,17 +239,13 @@ class Search_driver {
 
     // Children: precedence-feasible remaining services, cheapest transfer
     // from the current last service first (the paper's expansion policy —
-    // Lemma 3's correctness depends on this order).
+    // Lemma 3's correctness depends on this order). The last service's
+    // presorted row already holds that order; filtering keeps it.
     auto& candidates = arena_.row(k);
     candidates.clear();
-    const model::Service_id last = eval_.last();
-    for (model::Service_id u = 0; u < instance_.size(); ++u) {
-      if (feasible(u)) candidates.push_back({instance_.transfer(last, u), u});
+    for (const Candidate& link : bounds_.rows().row(eval_.last())) {
+      if (feasible(link.id)) candidates.push_back(link);
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& x, const Candidate& y) {
-                return std::tie(x.transfer, x.id) < std::tie(y.transfer, y.id);
-              });
 
     const double eps = eval_.epsilon();
     for (std::size_t i = 0; i < candidates.size(); ++i) {

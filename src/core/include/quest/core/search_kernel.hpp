@@ -6,11 +6,12 @@
 // (model::Partial_plan_evaluator), its mutable half is the sorted
 // candidate row in the Candidate_arena. Everything is allocated once per
 // optimize() call and reused across the whole tree: no per-node heap
-// churn, and each parallel worker owns one private copy of each.
+// churn, and each parallel worker owns one private copy of each — except
+// the Transfer_rows, which are read-only and shared by every worker.
 
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "quest/common/bitset64.hpp"
@@ -43,6 +44,28 @@ std::vector<Pair_seed> build_pair_seeds(
 struct Candidate {
   double transfer;
   model::Service_id id;
+};
+
+/// Every service's outgoing links, each row sorted ascending by
+/// (transfer, id) once per optimize() call. A node's children are its
+/// last service's row filtered by feasibility — exactly the order the
+/// expansion policy asks for, with no per-node sort — and epsilon-bar
+/// reads a service's costliest link into the remaining set as the first
+/// unplaced entry from the row's costly end. Read-only
+/// after construction; the Bound_provider owns one that every driver
+/// (and every bnb-par worker) shares.
+class Transfer_rows {
+ public:
+  explicit Transfer_rows(const model::Instance& instance);
+
+  /// The n - 1 other services, cheapest link out of `from` first.
+  std::span<const Candidate> row(model::Service_id from) const noexcept {
+    return {links_.data() + from * width_, width_};
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<Candidate> links_;
 };
 
 /// Flat per-depth storage for the DFS's sorted-children rows. Row k backs
@@ -81,9 +104,6 @@ class Placed_set {
     mask_.reset(id);
     chars_[id] = 0;
   }
-
-  /// Bits 0..63 as a raw word (see Member_mask::word).
-  std::uint64_t word() const noexcept { return mask_.word(); }
 
   /// The n-length membership mask Precedence_graph::feasible_next takes.
   const std::vector<char>& chars() const noexcept { return chars_; }

@@ -50,25 +50,39 @@ Epsilon_bar::Epsilon_bar(const Instance& instance, const Cost_model& model,
   }
 }
 
-double Epsilon_bar::evaluate(
-    const Partial_plan_evaluator& eval,
-    std::span<const Service_id> remaining) const {
+namespace {
+
+/// max(floor, the costliest link in `row` into a service `eval` has not
+/// placed) — the same value as folding std::max over those links from
+/// `floor`, since a max is exact. The row is sorted ascending, so the walk
+/// from its costly end stops at the first unplaced service.
+double costliest_open_link(std::span<const Candidate> row,
+                           const Partial_plan_evaluator& eval, double floor) {
+  for (auto link = row.rbegin(); link != row.rend(); ++link) {
+    if (!eval.contains(link->id)) return std::max(floor, link->transfer);
+  }
+  return floor;
+}
+
+}  // namespace
+
+double Epsilon_bar::evaluate(const Partial_plan_evaluator& eval,
+                             std::span<const Service_id> remaining,
+                             const Transfer_rows& rows) const {
   QUEST_EXPECTS(!eval.empty(), "epsilon-bar needs a non-empty partial plan");
   QUEST_EXPECTS(!remaining.empty(),
                 "epsilon-bar is defined while services remain");
   const Instance& instance = *instance_;
+  const bool exact = mode_ == Epsilon_bar_mode::exact;
 
   // Dangling term of the current last service: its conditional selectivity
   // is already determined by the prefix; its successor will be drawn from
   // `remaining`, so the worst case is the costliest outgoing link.
   const Service_id last = eval.last();
-  double t_dangling = 0.0;
-  for (const Service_id u : remaining) {
-    t_dangling = std::max(t_dangling, instance.transfer(last, u));
-  }
   double bound = eval.product_before_last() *
                  stage_term(cost_[last], eval.last_selectivity(),
-                            t_dangling, policy_);
+                            costliest_open_link(rows.row(last), eval, 0.0),
+                            policy_);
 
   // Amplification product over the remaining set (only > 1 when some
   // service can still expand the stream — the paper's sigma > 1
@@ -78,22 +92,18 @@ double Epsilon_bar::evaluate(
   for (std::size_t i = 0; i < remaining.size(); ++i) {
     const Service_id u = remaining[i];
 
-    double term_bound;
-    if (mode_ == Epsilon_bar_mode::loose) {
-      term_bound = loose_term_bound_[u];
-    } else {
-      // Exact: worst transfer out of u into the live remaining set or the
-      // sink (u may be placed last).
-      double t_max = instance.sink_transfer(u);
-      for (const Service_id v : remaining) {
-        if (v != u) t_max = std::max(t_max, instance.transfer(u, v));
-      }
-      term_bound = stage_term(cost_[u], sigma_hi_[u], t_max, policy_);
-    }
+    // Exact: worst transfer out of u into the live remaining set or the
+    // sink (u may be placed last).
+    const double term_bound =
+        exact ? stage_term(cost_[u], sigma_hi_[u],
+                           costliest_open_link(rows.row(u), eval,
+                                               instance.sink_transfer(u)),
+                           policy_)
+              : loose_term_bound_[u];
 
     double amplification = 1.0;
     if (!all_hi_selective_) {
-      if (mode_ == Epsilon_bar_mode::loose) {
+      if (!exact) {
         // Sound but looser: include u's own factor.
         for (const Service_id w : remaining) {
           amplification *= std::max(1.0, sigma_hi_[w]);

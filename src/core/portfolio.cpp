@@ -43,8 +43,7 @@ opt::Result Portfolio_optimizer::optimize(const opt::Request& request) {
   // Sub-requests share the problem, seed, stop token and cost target, but
   // get the budget left at launch time and a filtered incumbent stream:
   // only genuine portfolio-level improvements reach the caller (phase 2
-  // restarts its own incumbent from scratch and would re-announce worse
-  // plans otherwise).
+  // re-announces the phase-1 plan it is warm-started with).
   double streamed_best = std::numeric_limits<double>::infinity();
   opt::Request sub = request;
   if (request.on_incumbent) {
@@ -96,6 +95,10 @@ opt::Result Portfolio_optimizer::optimize(const opt::Request& request) {
     }
     const auto exact_engine = engine_registry().make(spec);
     sub.budget = control.remaining_budget();
+    // Phase 1's plan is a feasible upper bound: the exact engine prunes
+    // against it from its first node (frontier can also prove it optimal
+    // by draining, or hand it back when stopped).
+    sub.warm_start = &incumbent.plan;
     exact = exact_engine->optimize(sub);
     ran_exact = true;
   }

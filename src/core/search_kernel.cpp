@@ -39,4 +39,19 @@ std::vector<Pair_seed> build_pair_seeds(
   return pairs;
 }
 
+Transfer_rows::Transfer_rows(const model::Instance& instance)
+    : width_(instance.size() - 1) {
+  const std::size_t n = instance.size();
+  links_.reserve(n * width_);
+  for (model::Service_id from = 0; from < n; ++from) {
+    for (model::Service_id to = 0; to < n; ++to) {
+      if (to != from) links_.push_back({instance.transfer(from, to), to});
+    }
+    std::sort(links_.end() - static_cast<std::ptrdiff_t>(width_), links_.end(),
+              [](const Candidate& x, const Candidate& y) {
+                return std::tie(x.transfer, x.id) < std::tie(y.transfer, y.id);
+              });
+  }
+}
+
 }  // namespace quest::core

@@ -140,10 +140,6 @@ class Partial_plan_evaluator {
   Plan plan() const;
   const std::vector<Service_id>& order() const noexcept { return order_; }
 
-  /// Bitmask view of the plan set (bits 0..63; the subset engines and the
-  /// search kernel consume this on n <= 64 instances).
-  std::uint64_t placed_word() const noexcept { return in_plan_.word(); }
-
   const Instance& instance() const noexcept { return *instance_; }
   const Cost_model& cost_model() const noexcept { return model_; }
   Send_policy policy() const noexcept { return model_.policy(); }

@@ -11,6 +11,13 @@
 // the same subset ending in the same service present identical options to
 // every completion (same remaining set, same selectivity product, same
 // last service), so only the cheaper epsilon needs to survive.
+//
+// A Request::warm_start bounds the search: its cost (one work unit,
+// streamed as an incumbent, so a cost target it meets stops the run) caps
+// every state and goal. Children and goals whose value reaches it are
+// never queued; a queue that drains without a cheaper goal proves the
+// warm plan optimal, and a stopped search returns the warm plan instead
+// of nothing.
 
 #pragma once
 

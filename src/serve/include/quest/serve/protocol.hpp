@@ -248,6 +248,10 @@ io::Json overloaded_event(const std::string& id, std::size_t queue_depth,
 /// drift in how they spell it.
 io::Json unknown_instance_event(const std::string& name,
                                 const std::string& id = {});
+/// The refusal of an optimize whose id the same client still has in
+/// flight — one builder for the server and the router, which refuses it
+/// itself while it still routes that id.
+io::Json duplicate_id_event(const std::string& id);
 /// The typed "line-overflow" error for a request line past the cap —
 /// one builder for the session layer and the router.
 io::Json line_overflow_event(std::size_t max_line_bytes);

@@ -524,6 +524,10 @@ io::Json unknown_instance_event(const std::string& name,
                      id, "unknown-instance");
 }
 
+io::Json duplicate_id_event(const std::string& id) {
+  return error_event("request id '" + id + "' is already in flight", id);
+}
+
 io::Json line_overflow_event(std::size_t max_line_bytes) {
   return error_event("request line exceeds " + std::to_string(max_line_bytes) +
                          " bytes and was discarded",

@@ -290,9 +290,7 @@ void Server::handle_optimize(const Session_ptr& session, Optimize_op op) {
           return other->session->id == session->id && other->id == job->id;
         });
     if (duplicate) {
-      emit(*session, error_event(
-                         "request id '" + job->id + "' is already in flight",
-                         job->id));
+      emit(*session, duplicate_id_event(job->id));
       return;
     }
   }

@@ -7,8 +7,10 @@
 // leaves at once; a backend that stops reading costs only its own keys;
 // and the thread count does not grow with clients. It also pins that the
 // router is transparent where it answers for the server: every line the
-// server refuses or ignores gets the server's bytes, and a finished
-// request stays finished, whatever its id, when its owner dies. The
+// server refuses or ignores gets the server's bytes, a finished request
+// stays finished — whatever its id, and whether a result or an error
+// finished it — when its owner dies, and one id never runs twice, even
+// when its two documents live on different shards. The
 // kill -9 / rejoin behaviour is process-level and lives in
 // serve/router_smoke and serve/replication_smoke (scripts/loadgen.py).
 // Every wait is bounded, so a broken router fails these tests instead of
@@ -33,6 +35,7 @@
 #include "quest/common/timer.hpp"
 #include "quest/io/fingerprint.hpp"
 #include "quest/io/instance_io.hpp"
+#include "quest/serve/protocol.hpp"
 #include "quest/serve/tcp_transport.hpp"
 #include "quest/store/shard_map.hpp"
 #include "support/helpers.hpp"
@@ -391,6 +394,30 @@ TEST(Replica_router_test, AnswersEveryRefusedOrBlankLineAsTheServerDoes) {
   }
 }
 
+/// Stops `owner`, the shard that answered request `id`, and checks that
+/// nothing more arrives for `id`. The router answers the stats only once
+/// it has handled the link's close (until then the link owes the merge
+/// its share), so any answer that close sets off for the finished
+/// request — a shed at R=1, a failover at R=2 — comes before that answer
+/// or soon after.
+void expect_no_answer_once_the_owner_stops(Client& client, Stack& owner,
+                                           const std::string& id) {
+  owner.stop();
+  client.send_line(R"({"op":"stats"})");
+  bool answered = false;
+  for (;;) {
+    const std::string line = client.read_line(answered ? 0.5 : 10.0,
+                                              /*quiet=*/answered);
+    if (line.empty()) break;
+    const io::Json event = io::Json::parse(line);
+    const io::Json* event_id = event.find("id");
+    EXPECT_FALSE(event_id != nullptr && event_id->as_string() == id)
+        << "answered again: " << line;
+    if (event.at("event").as_string() == "stats") answered = true;
+  }
+  EXPECT_TRUE(answered) << "no stats answer";
+}
+
 TEST(Replica_router_test, AFinishedRequestStaysFinishedWhenItsOwnerDies) {
   // An id the writer escapes: the route must still retire on its result.
   const std::string id = "a\"b";
@@ -406,25 +433,71 @@ TEST(Replica_router_test, AFinishedRequestStaysFinishedWhenItsOwnerDies) {
                      document_on(0, 8, 1, options) +
                      R"(,"optimizer":"bnb"})");
     ASSERT_TRUE(client.wait_event("result", id, 10.0).is_object());
+    expect_no_answer_once_the_owner_stops(client, shard0, id);
+  }
+}
 
-    // The router answers the stats only once it has handled the link's
-    // close (until then the link owes the merge its share), so any
-    // answer that close sets off for the finished request — a shed at
-    // R=1, a failover at R=2 — comes before that answer or soon after.
-    shard0.stop();
-    client.send_line(R"({"op":"stats"})");
-    bool answered = false;
+TEST(Replica_router_test, ARequestAnsweredWithAnErrorStaysAnswered) {
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("R=" + std::to_string(replicas));
+    Stack shard0;
+    Stack shard1;
+    Replica_options options = fleet({shard0.address(), shard1.address()});
+    options.replicas = replicas;
+    Router router(options);
+    Client client(router.port());
+    client.send_line(register_on(0, "p", 8, 1, options));
+    ASSERT_TRUE(client.wait_event("registered", {}, 10.0).is_object());
+    // The owner refuses the spec: an error is the request's only answer.
+    client.send_line(
+        R"({"op":"optimize","id":"e","instance":"p","optimizer":"nope"})");
+    ASSERT_TRUE(client.wait_event("error", "e", 10.0).is_object());
+    expect_no_answer_once_the_owner_stops(client, shard0, "e");
+  }
+}
+
+TEST(Replica_router_test, OneIdRunsOnceEvenWhenItsDocumentsLiveOnTwoShards) {
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("R=" + std::to_string(replicas));
+    Stack shard0;
+    Stack shard1;
+    Replica_options options = fleet({shard0.address(), shard1.address()});
+    options.replicas = replicas;
+    Router router(options);
+    Client client(router.port());
+    // A long streamed search on shard 0 ...
+    client.send_line(R"({"op":"optimize","id":"d","instance":)" +
+                     document_on(0, 12, 1, options) +
+                     R"(,"optimizer":"annealing:iterations=2000000000",)"
+                     R"("budget":{"deadline_ms":20000},"stream":true,)"
+                     R"("cache":false})");
+    ASSERT_TRUE(client.wait_event("incumbent", "d", 10.0).is_object());
+    // ... then the same id on a document shard 1 owns, while it runs.
+    client.send_line(R"({"op":"optimize","id":"d","instance":)" +
+                     document_on(1, 8, 1, options) +
+                     R"(,"optimizer":"bnb"})");
+    client.send_line(R"({"op":"cancel","id":"d"})");
+
+    // The server's own refusal of an id already in flight.
+    const std::string duplicate =
+        serve::error_event("request id 'd' is already in flight", "d")
+            .dump();
+    std::size_t duplicates = 0;
+    std::size_t results = 0;
     for (;;) {
-      const std::string line = client.read_line(answered ? 0.5 : 10.0,
-                                                /*quiet=*/answered);
+      const std::string line = client.read_line(results > 0 ? 0.5 : 10.0,
+                                                /*quiet=*/results > 0);
       if (line.empty()) break;
       const io::Json event = io::Json::parse(line);
-      const io::Json* event_id = event.find("id");
-      EXPECT_FALSE(event_id != nullptr && event_id->as_string() == id)
-          << "answered again: " << line;
-      if (event.at("event").as_string() == "stats") answered = true;
+      const std::string kind = event.at("event").as_string();
+      if (kind == "result") ++results;
+      if (kind == "error") {
+        EXPECT_EQ(line, duplicate);
+        ++duplicates;
+      }
     }
-    EXPECT_TRUE(answered) << "no stats answer";
+    EXPECT_EQ(duplicates, 1u);
+    EXPECT_EQ(results, 1u);
   }
 }
 

@@ -49,6 +49,7 @@ TEST(Lemma2, AllCompletionsCostEpsilonAfterClosure) {
     const Instance instance = test::selective_instance(n, seed);
     const Epsilon_bar ebar(instance, model::Cost_model{},
                            Epsilon_bar_mode::exact);
+    const core::Transfer_rows rows(instance);
     Rng rng(seed * 131);
     for (int trial = 0; trial < 30; ++trial) {
       const auto order = rng.permutation(n);
@@ -62,7 +63,7 @@ TEST(Lemma2, AllCompletionsCostEpsilonAfterClosure) {
       for (std::size_t p = prefix_len; p < n; ++p) {
         remaining.push_back(static_cast<Service_id>(order[p]));
       }
-      if (eval.epsilon() < ebar.evaluate(eval, remaining)) continue;
+      if (eval.epsilon() < ebar.evaluate(eval, remaining, rows)) continue;
       ++closures_checked;
       std::sort(remaining.begin(), remaining.end());
       do {

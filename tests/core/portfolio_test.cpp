@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "quest/core/portfolio.hpp"
+#include "quest/opt/dp.hpp"
 #include "quest/opt/exhaustive.hpp"
 #include "quest/opt/local_search.hpp"
 #include "quest/workload/generators.hpp"
@@ -121,6 +122,30 @@ TEST(Portfolio_test, SuboptimalityKeepsTheSequentialExactPhase) {
   opt::Exhaustive_optimizer exhaustive;
   const auto optimal = exhaustive.optimize(request_for(instance));
   EXPECT_LE(result.cost, optimal.cost * 1.25 * (1.0 + test::cost_tolerance));
+}
+
+TEST(Portfolio_test, AnOptimalPhaseOnePlanIsProvenByTheBoundedFrontier) {
+  // A near-TSP instance whose local-search plan is already optimal. The
+  // frontier phase, warm-started with it, prunes every state that
+  // reaches its cost and drains inside a budget that an unbounded
+  // frontier phase runs out of.
+  Rng rng(28);
+  workload::Bottleneck_tsp_spec spec;
+  spec.n = 12;
+  const Instance instance = workload::make_bottleneck_tsp(spec, rng);
+  Portfolio_optimizer portfolio;
+  ASSERT_EQ(portfolio.chosen_engine(instance), "frontier");
+  Request request = request_for(instance);
+  const auto optimum = opt::Dp_optimizer().optimize(request);
+  request.budget.node_limit = 1450;
+  const auto polished = opt::Local_search_optimizer().optimize(request);
+  ASSERT_EQ(polished.cost, optimum.cost);
+
+  const auto result = portfolio.optimize(request);
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(result.termination, opt::Termination::optimal);
+  EXPECT_EQ(result.cost, optimum.cost);
+  EXPECT_LE(result.stats.work(), request.budget.node_limit);
 }
 
 TEST(Portfolio_test, RespectsPrecedenceAcrossPhases) {

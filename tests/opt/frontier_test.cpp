@@ -1,6 +1,7 @@
 // The frontier (best-first subset) search must agree with exhaustive
 // search and the DP everywhere, and must expand no more states than the
-// DP touches.
+// DP touches. A warm start bounds it: proven by draining, returned when
+// stopped, and never able to cost the optimum.
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,73 @@ TEST(Frontier_test, NodeLimitAborts) {
   const auto result = Frontier_optimizer().optimize(request);
   EXPECT_EQ(result.termination, opt::Termination::budget_exhausted);
   EXPECT_FALSE(result.proven_optimal);
+}
+
+model::Instance btsp_instance(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  workload::Bottleneck_tsp_spec spec;
+  spec.n = n;
+  return workload::make_bottleneck_tsp(spec, rng);
+}
+
+TEST(Frontier_test, AnOptimalWarmStartIsProvenWithFewerExpansions) {
+  const Instance instance = btsp_instance(12, 3);
+  Request request;
+  request.instance = &instance;
+  const auto optimum = Dp_optimizer().optimize(request);
+  const auto cold = Frontier_optimizer().optimize(request);
+  request.warm_start = &optimum.plan;
+  const auto warm = Frontier_optimizer().optimize(request);
+  EXPECT_TRUE(warm.proven_optimal);
+  EXPECT_EQ(warm.termination, opt::Termination::optimal);
+  EXPECT_EQ(warm.cost, optimum.cost);
+  EXPECT_TRUE(warm.plan.is_permutation_of(12));
+  EXPECT_LT(warm.stats.nodes_expanded, cold.stats.nodes_expanded);
+}
+
+TEST(Frontier_test, AWorseWarmStartStillFindsTheOptimum) {
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    const Instance instance = btsp_instance(11, seed);
+    Request request;
+    request.instance = &instance;
+    const auto optimum = Dp_optimizer().optimize(request);
+    const model::Plan identity = model::Plan::identity(11);
+    request.warm_start = &identity;
+    const auto got = Frontier_optimizer().optimize(request);
+    EXPECT_TRUE(got.proven_optimal) << "seed " << seed;
+    EXPECT_TRUE(test::costs_equal(got.cost, optimum.cost)) << "seed " << seed;
+    EXPECT_TRUE(test::costs_equal(
+        got.cost, model::bottleneck_cost(instance, got.plan)));
+  }
+}
+
+TEST(Frontier_test, AStoppedRunReturnsACompletePlanNoWorseThanTheWarmStart) {
+  const Instance instance = btsp_instance(14, 100);
+  const model::Plan identity = model::Plan::identity(14);
+  Request request;
+  request.instance = &instance;
+  request.warm_start = &identity;
+  request.budget.node_limit = 200;
+  const auto got = Frontier_optimizer().optimize(request);
+  EXPECT_EQ(got.termination, opt::Termination::budget_exhausted);
+  EXPECT_FALSE(got.proven_optimal);
+  ASSERT_TRUE(got.plan.is_permutation_of(14));
+  EXPECT_LE(got.cost, model::bottleneck_cost(instance, identity));
+  EXPECT_EQ(got.cost, model::bottleneck_cost(instance, got.plan));
+}
+
+TEST(Frontier_test, AWarmStartMeetingTheCostTargetEndsTheRun) {
+  const Instance instance = btsp_instance(12, 3);
+  const model::Plan identity = model::Plan::identity(12);
+  Request request;
+  request.instance = &instance;
+  request.warm_start = &identity;
+  request.budget.cost_target = model::bottleneck_cost(instance, identity);
+  const auto got = Frontier_optimizer().optimize(request);
+  EXPECT_EQ(got.termination, opt::Termination::cost_target_reached);
+  EXPECT_EQ(got.plan, identity);
+  EXPECT_EQ(got.cost, request.budget.cost_target);
+  EXPECT_EQ(got.stats.work(), 1u);
 }
 
 TEST(Frontier_test, RejectsOversizedInstances) {
